@@ -25,7 +25,7 @@
 //! after every response so a driving process can speak the protocol
 //! interactively.
 
-use crate::CliError;
+use crate::{CliError, Globals};
 use dvicl_core::{DviclOptions, Session};
 use dvicl_govern::{parse_duration, Budget, DviclError};
 use dvicl_graph::{graph6, io as gio, CanonForm, Fingerprint, Graph};
@@ -102,27 +102,30 @@ impl ServiceOpts {
 struct Service {
     session: Session,
     index: FingerprintIndex,
+    /// `--paranoid`: witness-check index loads and inserts.
+    paranoid: bool,
     requests: u64,
     errors: u64,
 }
 
 impl Service {
-    fn new(opts: &ServiceOpts) -> Result<Service, DviclError> {
+    fn new(opts: &ServiceOpts, gl: &Globals) -> Result<Service, DviclError> {
         let index = match &opts.index {
-            Some(path) => FingerprintIndex::load(Path::new(path), crate::paranoid())?,
+            Some(path) => FingerprintIndex::load(Path::new(path), gl.paranoid)?,
             None => FingerprintIndex::new(),
         };
         // The same leaf configuration the other subcommands build with
-        // (traces-like plus any --kernel / --target-cell overrides); the
-        // global --threads width applies to every request's build.
+        // (traces-like plus any --target-cell override); the global
+        // --threads width applies to every request's build.
         let session = Session::new(DviclOptions {
-            leaf_config: crate::leaf_config(),
-            threads: crate::threads(),
+            leaf_config: gl.leaf_config(),
+            threads: gl.threads,
             ..DviclOptions::default()
         });
         Ok(Service {
             session,
             index,
+            paranoid: gl.paranoid,
             requests: 0,
             errors: 0,
         })
@@ -169,7 +172,7 @@ impl Service {
                 "trailing token {extra:?} after the graph spec"
             ))),
             ("insert", Some(spec), None) => self.key(spec, budget).and_then(|(fp, form)| {
-                let out = self.index.insert(fp, form, crate::paranoid())?;
+                let out = self.index.insert(fp, form, self.paranoid)?;
                 Ok(format!(
                     "insert: class={} members={} {}",
                     out.class,
@@ -232,10 +235,10 @@ fn respond_line(out: &mut impl Write, line: &str) {
 
 /// `dvicl batch [FLAGS] [QUERIES]` — drain a query file (stdin when
 /// absent) and exit.
-pub(crate) fn batch(args: &[String]) -> Result<(), CliError> {
+pub(crate) fn batch(args: &[String], gl: &Globals) -> Result<(), CliError> {
     let _span = obs::span("cli.batch");
     let opts = ServiceOpts::parse(args, true)?;
-    let mut service = Service::new(&opts)?;
+    let mut service = Service::new(&opts, gl)?;
     let text = match opts.input.as_deref() {
         Some("-") | None => {
             let mut buf = String::new();
@@ -263,10 +266,10 @@ pub(crate) fn batch(args: &[String]) -> Result<(), CliError> {
 
 /// `dvicl serve [FLAGS]` — answer stdin line by line, flushing per
 /// response, until `quit` or end of input.
-pub(crate) fn serve(args: &[String]) -> Result<(), CliError> {
+pub(crate) fn serve(args: &[String], gl: &Globals) -> Result<(), CliError> {
     let _span = obs::span("cli.serve");
     let opts = ServiceOpts::parse(args, false)?;
-    let mut service = Service::new(&opts)?;
+    let mut service = Service::new(&opts, gl)?;
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();

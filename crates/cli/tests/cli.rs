@@ -70,6 +70,33 @@ fn ssm_counts() {
 }
 
 #[test]
+fn ssm_rejects_a_bad_or_missing_limit() {
+    // A malformed `--limit` is a typed usage error (exit 2), never a
+    // silent fallback to the default limit.
+    let petersen_edge = ["ssm", "g6:IheA@GUAo", "0,1"];
+    for tail in [&["--limit", "abc"][..], &["--limit"]] {
+        let args = [&petersen_edge[..], tail].concat();
+        let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: no partial answer on stdout"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--limit"), "{args:?}: {stderr}");
+    }
+    // A valid limit below the 15 edge images truncates the listing; the
+    // default limit of 20 would have listed all of them.
+    let (stdout, _, ok) = dvicl(&[&petersen_edge[..], &["--limit", "3"]].concat());
+    assert!(ok);
+    assert!(stdout.contains("images under Aut(G): 15"), "got: {stdout}");
+    assert!(!stdout.contains("(complete)"), "got: {stdout}");
+}
+
+#[test]
 fn reads_edge_list_from_stdin() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_dvicl"))
         .args(["canon", "-"])

@@ -120,7 +120,6 @@ pub(crate) fn try_build_autotree_in(
         )));
     }
     budget.check()?;
-    scratch.refiner.set_kernel(opts.leaf_config.kernel);
     let pi = scratch.refiner.try_refine(g, pi0, budget)?.coloring;
     run_build(scratch, g, pi, opts, budget, false)
 }
@@ -217,7 +216,6 @@ pub(crate) fn build_autotree_whole_leaf_in(
         )));
     }
     budget.check()?;
-    scratch.refiner.set_kernel(opts.leaf_config.kernel);
     let pi = scratch.refiner.try_refine(g, pi0, budget)?.coloring;
     run_build(scratch, g, pi, opts, budget, true)
 }
@@ -374,9 +372,9 @@ pub(crate) struct Scratch {
     pub(crate) cl_cache: FxHashMap<Vec<u8>, ClEntry>,
     /// Reused encode buffer for memo probes: allocation-free on hits.
     pub(crate) key_scratch: Vec<u8>,
-    /// Per-worker refinement kernel state: the root refinement and every
+    /// Per-worker refinement state: the root refinement and every
     /// `CombineCL` leaf labeling of a build run through this refiner, so
-    /// kernel scratch (partitions, bitset masks, radix buffers) is
+    /// refinement scratch (partition, cell masks, radix buffers) is
     /// allocated once per worker and never shared — the same exclusive
     /// ownership discipline as the arena and memo shard beside it.
     pub(crate) refiner: Refiner,

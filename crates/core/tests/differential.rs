@@ -76,11 +76,26 @@ fn corpus() -> Vec<(&'static str, Graph)> {
         ("two_triangles", named::cycle(3).disjoint_union(&named::cycle(3))),
         ("two_petersens", named::petersen().disjoint_union(&named::petersen())),
         ("kneser_6_2", named::kneser(6, 2)),
+        // A dense benchmark-family member (256 vertices, 65-regular)
+        // and a social analog above 4096 vertices (5100): the two sides
+        // of the size threshold that once picked between two refinement
+        // kernels.
+        ("hadamard_64", dvicl_data::bench_graphs::hadamard(64)),
+        ("Gnutella", social("Gnutella")),
     ]
 }
 
+fn social(name: &str) -> Graph {
+    let d = dvicl_data::social_suite()
+        .into_iter()
+        .find(|d| d.name == name)
+        .expect("suite graph");
+    (d.build)()
+}
+
 /// Digests recorded from the pre-refactor (nested-vec `Sub`)
-/// implementation. The arena refactor must reproduce them exactly.
+/// implementation, which the arena refactor reproduces exactly. The last
+/// two were recorded before the refinement kernels were merged into one.
 const GOLDEN: &[(&str, u64)] = &[
     ("fig1_example", 0xf3ef969194d8ed9d),
     ("fig3_example", 0xc89ad7e025408d9a),
@@ -102,6 +117,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("two_triangles", 0x33449bc532b877ad),
     ("two_petersens", 0x047e65a5de12325a),
     ("kneser_6_2", 0x7fccc2474eec82e0),
+    ("hadamard_64", 0xc04b0784aa66e840),
+    ("Gnutella", 0x5af9439541c9a866),
 ];
 
 #[test]

@@ -260,7 +260,7 @@ pub fn hit_counts() -> Vec<(&'static str, u64)> {
 /// `checkpoint_registry` integration test asserts the fault sweep
 /// replays exactly this set. Adding a checkpoint without registering
 /// it here (or vice versa) fails CI.
-pub const CHECKPOINT_SITES: [&str; 14] = [
+pub const CHECKPOINT_SITES: [&str; 13] = [
     "canon.dfs",
     "core.arena_carve",
     "core.build_node",
@@ -273,7 +273,6 @@ pub const CHECKPOINT_SITES: [&str; 14] = [
     "index.load",
     "pool.spawn",
     "refine.individualize",
-    "refine.kernel",
     "refine.refine",
 ];
 

@@ -79,21 +79,13 @@ pub enum Counter {
     /// them (`core::pool`). `pool_tasks - pool_steals` jobs were
     /// popped back by their owner.
     PoolSteals,
-    /// Refinement calls dispatched to the dense bitset kernel
-    /// (`refine::Refiner`). Zero under `--kernel general`; equal to the
-    /// refinement-call count under `--kernel bitset`.
-    RefineKernelDense,
-    /// Cell splits whose splitter-neighbor counts came from
-    /// word-parallel `popcount(adjacency row & splitter mask)` instead
-    /// of an adjacency-list scatter (`refine::BitsetKernel`).
-    RefineSplitsPopcount,
     /// Cell splits realized by the degree-bucket radix (counting) sort
-    /// instead of a comparison sort (`refine::BitsetKernel`).
+    /// instead of a comparison sort (`refine::Partition`).
     RadixSplits,
 }
 
 /// How many counters exist (the length of [`Counter::ALL`]).
-pub const NUM_COUNTERS: usize = 29;
+pub const NUM_COUNTERS: usize = 27;
 
 impl Counter {
     /// Every counter, in reporting order.
@@ -124,8 +116,6 @@ impl Counter {
         Counter::SessionArenaReuses,
         Counter::PoolTasks,
         Counter::PoolSteals,
-        Counter::RefineKernelDense,
-        Counter::RefineSplitsPopcount,
         Counter::RadixSplits,
     ];
 
@@ -163,8 +153,6 @@ impl Counter {
             Counter::SessionArenaReuses => "session_arena_reuses",
             Counter::PoolTasks => "pool_tasks",
             Counter::PoolSteals => "pool_steals",
-            Counter::RefineKernelDense => "refine_kernel_dense",
-            Counter::RefineSplitsPopcount => "refine_splits_popcount",
             Counter::RadixSplits => "radix_splits",
         }
     }

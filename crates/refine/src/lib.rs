@@ -12,26 +12,14 @@
 //! The trace (a running hash over cell positions, fragment sizes and count
 //! values) doubles as the node invariant `φ` used by the
 //! individualization-refinement search in `dvicl-canon`.
-//!
-//! *How* counts are computed is pluggable: a [`RefineKernel`] (see
-//! `kernel.rs`) supplies the per-splitter counting strategy — the
-//! sorting-based [`GeneralKernel`] or the word-parallel [`BitsetKernel`]
-//! — selected per [`Refiner`] by a [`KernelKind`] and resolved per graph
-//! at the dispatch point in this module. Every kernel produces the same
-//! partitions and the same traces; the choice moves wall time only.
 
 #![warn(missing_docs)]
 
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{Coloring, Graph, V};
-use dvicl_obs::{self as obs, Counter};
 
-mod kernel;
 mod partition;
 
-pub use kernel::{
-    BitsetKernel, GeneralKernel, KernelKind, RefineKernel, AUTO_DENSE_MAX, POPCOUNT_MAX_N,
-};
 pub use partition::Partition;
 
 /// The output of a refinement: the equitable coloring and the
@@ -52,78 +40,30 @@ pub struct RefineResult {
 }
 
 /// A reusable refinement engine: one [`Partition`] worth of buffers
-/// (labels, positions, cell tables, worklist, scratch counters) plus
-/// both [`RefineKernel`] backends, recycled across calls.
+/// (labels, positions, cell tables, worklist, splitter scratch),
+/// recycled across calls.
 ///
 /// The individualization-refinement search in `dvicl-canon` refines once
 /// per search-tree node; with the one-shot free functions each of those
-/// refinements paid seven `Vec` allocations for a fresh [`Partition`].
-/// A `Refiner` re-seeds the same buffers instead
-/// ([`Partition::reset_from_coloring`]), so a DFS over thousands of nodes
-/// performs no per-node partition allocation. Results are bit-identical
-/// to the free functions — reset state equals fresh state.
-///
-/// The `Refiner` is also the *kernel dispatch point*: every entry
-/// resolves its [`KernelKind`] against the graph's size and routes the
-/// run through the sorting-based [`GeneralKernel`] or the dense
-/// [`BitsetKernel`]. Both kernels produce identical colorings, traces
-/// and singleton orders (pinned by the parity suites), so the selection
-/// is free to vary per call without disturbing downstream certificates.
+/// refinements paid a fresh [`Partition`]'s allocations. A `Refiner`
+/// re-seeds the same buffers instead ([`Partition::reset_from_coloring`]),
+/// so a DFS over thousands of nodes performs no per-node partition
+/// allocation. Results are bit-identical to the free functions — reset
+/// state equals fresh state.
 #[derive(Default)]
 pub struct Refiner {
     p: Partition,
-    kernel: KernelKind,
-    general: GeneralKernel,
-    bitset: BitsetKernel,
 }
 
 impl Refiner {
-    /// A refiner with empty (unallocated) buffers and [`KernelKind::Auto`]
-    /// dispatch.
+    /// A refiner with empty (unallocated) buffers.
     pub fn new() -> Self {
         Refiner::default()
     }
 
-    /// A refiner pinned to `kernel`.
-    pub fn with_kernel(kernel: KernelKind) -> Self {
-        Refiner {
-            kernel,
-            ..Refiner::default()
-        }
-    }
-
-    /// The configured kernel selection.
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
-    }
-
-    /// Re-points the dispatcher without touching the buffers (a
-    /// `core::Session` retunes its per-worker refiners this way when its
-    /// options change).
-    pub fn set_kernel(&mut self, kernel: KernelKind) {
-        self.kernel = kernel;
-    }
-
-    /// Resolves the kernel for an `n`-vertex graph and bumps the
-    /// dense-dispatch counter. Field-splitting helper: borrows only the
-    /// kernel state, leaving `self.p` free.
-    fn dispatch<'a>(
-        kernel: KernelKind,
-        general: &'a mut GeneralKernel,
-        bitset: &'a mut BitsetKernel,
-        n: usize,
-    ) -> &'a mut dyn RefineKernel {
-        if kernel.is_dense_for(n) {
-            obs::bump(Counter::RefineKernelDense);
-            bitset
-        } else {
-            general
-        }
-    }
-
-    fn result(&self) -> RefineResult {
+    fn result(&self, trace: u64) -> RefineResult {
         RefineResult {
-            trace: 0,
+            trace,
             new_singletons: self.p.new_singletons().to_vec(),
             coloring: self.p.to_coloring(),
         }
@@ -132,21 +72,17 @@ impl Refiner {
     /// Reusable-buffer [`refine`].
     pub fn refine(&mut self, g: &Graph, pi: &Coloring) -> RefineResult {
         let _span = dvicl_obs::span("refine.refine");
-        let Refiner { p, kernel, general, bitset } = self;
-        let k = Refiner::dispatch(*kernel, general, bitset, g.n());
-        p.reset_from_coloring(g.n(), pi);
-        let trace = p.refine(g, k);
-        RefineResult { trace, ..self.result() }
+        self.p.reset_from_coloring(g.n(), pi);
+        let trace = self.p.refine(g);
+        self.result(trace)
     }
 
     /// Reusable-buffer [`refine_individualized`].
     pub fn refine_individualized(&mut self, g: &Graph, pi: &Coloring, v: V) -> RefineResult {
         let _span = dvicl_obs::span("refine.individualize");
-        let Refiner { p, kernel, general, bitset } = self;
-        let k = Refiner::dispatch(*kernel, general, bitset, g.n());
-        p.reset_from_coloring(g.n(), pi);
-        let trace = p.individualize_and_refine(g, k, v);
-        RefineResult { trace, ..self.result() }
+        self.p.reset_from_coloring(g.n(), pi);
+        let trace = self.p.individualize_and_refine(g, v);
+        self.result(trace)
     }
 
     /// Reusable-buffer [`try_refine`].
@@ -158,12 +94,9 @@ impl Refiner {
     ) -> Result<RefineResult, DviclError> {
         let _span = dvicl_obs::span("refine.refine");
         dvicl_govern::fault::checkpoint("refine.refine")?;
-        dvicl_govern::fault::checkpoint("refine.kernel")?;
-        let Refiner { p, kernel, general, bitset } = self;
-        let k = Refiner::dispatch(*kernel, general, bitset, g.n());
-        p.reset_from_coloring(g.n(), pi);
-        let trace = p.try_refine(g, k, budget)?;
-        Ok(RefineResult { trace, ..self.result() })
+        self.p.reset_from_coloring(g.n(), pi);
+        let trace = self.p.try_refine(g, budget)?;
+        Ok(self.result(trace))
     }
 
     /// Reusable-buffer [`try_refine_individualized`].
@@ -176,12 +109,9 @@ impl Refiner {
     ) -> Result<RefineResult, DviclError> {
         let _span = dvicl_obs::span("refine.individualize");
         dvicl_govern::fault::checkpoint("refine.individualize")?;
-        dvicl_govern::fault::checkpoint("refine.kernel")?;
-        let Refiner { p, kernel, general, bitset } = self;
-        let k = Refiner::dispatch(*kernel, general, bitset, g.n());
-        p.reset_from_coloring(g.n(), pi);
-        let trace = p.try_individualize_and_refine(g, k, v, budget)?;
-        Ok(RefineResult { trace, ..self.result() })
+        self.p.reset_from_coloring(g.n(), pi);
+        let trace = self.p.try_individualize_and_refine(g, v, budget)?;
+        Ok(self.result(trace))
     }
 }
 
@@ -209,10 +139,6 @@ pub fn refine(g: &Graph, pi: &Coloring) -> RefineResult {
 /// The returned trace covers only the re-refinement, seeded with the color
 /// of `v`'s cell (an invariant of the branching choice), so traces of
 /// sibling nodes that individualize non-equivalent vertices differ.
-///
-/// Delegates to [`Refiner::refine_individualized`], so it shares the
-/// kernel dispatcher with every other entry point (it previously
-/// hard-wired the general kernel's splitting path).
 pub fn refine_individualized(g: &Graph, pi: &Coloring, v: V) -> RefineResult {
     Refiner::new().refine_individualized(g, pi, v)
 }
@@ -325,42 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn invariant_under_relabeling_all_kernels() {
-        // The relabeling invariance of refine() must hold per kernel,
-        // not just for whatever Auto dispatches to.
-        let g = named::fig3_example();
-        let n = g.n();
-        let gamma = Perm::from_cycles(n, &[&[0, 5, 9], &[2, 4], &[10, 12], &[11, 13]]).unwrap();
-        let gg = g.permuted(&gamma);
-        for kind in [KernelKind::General, KernelKind::Bitset] {
-            let mut r = Refiner::with_kernel(kind);
-            let r1 = r.refine(&g, &Coloring::unit(n));
-            let r2 = r.refine(&gg, &Coloring::unit(n));
-            assert_eq!(r1.trace, r2.trace, "{kind:?}");
-            assert_eq!(r2.coloring, r1.coloring.apply_perm(&gamma.inverse()), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn kernels_agree_on_named_graphs() {
-        // The cheap inline parity check (the proptest suite in
-        // tests/kernel_parity.rs covers random colored graphs).
-        for g in [
-            named::fig1_example(),
-            named::fig3_example(),
-            named::petersen(),
-            named::frucht(),
-            named::hypercube(4),
-            named::rary_tree(3, 3),
-        ] {
-            let pi = Coloring::unit(g.n());
-            let a = Refiner::with_kernel(KernelKind::General).refine(&g, &pi);
-            let b = Refiner::with_kernel(KernelKind::Bitset).refine(&g, &pi);
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn individualized_traces_distinguish_orbits() {
         let g = named::fig1_example();
         let base = refine(&g, &Coloring::unit(8)).coloring;
@@ -378,16 +268,5 @@ mod tests {
         let pi = Coloring::discrete(10);
         let r = refine(&g, &pi);
         assert_eq!(r.coloring, pi);
-    }
-
-    #[test]
-    fn kernel_kind_parses_flag_values() {
-        assert_eq!(KernelKind::parse("auto"), Some(KernelKind::Auto));
-        assert_eq!(KernelKind::parse("general"), Some(KernelKind::General));
-        assert_eq!(KernelKind::parse("bitset"), Some(KernelKind::Bitset));
-        assert_eq!(KernelKind::parse("dense"), None);
-        for k in [KernelKind::Auto, KernelKind::General, KernelKind::Bitset] {
-            assert_eq!(KernelKind::parse(k.name()), Some(k));
-        }
     }
 }

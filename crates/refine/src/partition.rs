@@ -6,43 +6,64 @@
 //! color definition), and `cell_len[s]` is the length of the cell starting
 //! at position `s` (meaningful only at start positions).
 //!
-//! How a splitter's neighbor counts are computed and how affected cells
-//! are ordered is delegated to a [`RefineKernel`]
-//! (`crates/refine/src/kernel.rs`); the worklist discipline and the
-//! rewrite half of every split ([`Partition::rewrite_split`]) live here,
-//! shared by every kernel, so kernels cannot diverge on the parts that
-//! determine traces and certificates.
+//! One splitter pass scatters neighbor counts over the splitter's
+//! adjacency lists, decides from per-cell aggregates of the *touched*
+//! members which cells split, and orders each splitting cell by
+//! `(count, vertex)` — with a degree-bucket radix split on large cells —
+//! before [`Partition::rewrite_split`] rewrites it.
 
-use crate::kernel::RefineKernel;
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{Coloring, Graph, V};
+use dvicl_obs::{self as obs, Counter};
 use std::collections::VecDeque;
 
+/// Cells shorter than this are split with a comparison sort: the radix
+/// path's histogram (and, on non-ascending spans, its O(n/64)-word mask
+/// walk) only amortizes once the sort it replaces is superlinear in
+/// practice.
+const RADIX_MIN_LEN: usize = 32;
+
 /// An ordered partition of `0..n` supporting splitter-based refinement.
+#[derive(Default)]
 pub struct Partition {
-    pub(crate) lab: Vec<V>,
-    pub(crate) pos: Vec<u32>,
-    pub(crate) cell_start: Vec<u32>,
-    pub(crate) cell_len: Vec<u32>,
-    // Scratch: neighbor counts per vertex during a splitter pass (owned
-    // here rather than by the kernels so scatter-counting kernels share
-    // one zeroed array with the reset discipline).
-    pub(crate) cnt: Vec<u32>,
+    lab: Vec<V>,
+    pos: Vec<u32>,
+    cell_start: Vec<u32>,
+    cell_len: Vec<u32>,
+    // Scratch: neighbor counts per vertex during a splitter pass.
+    cnt: Vec<u32>,
     // Worklist of cell start positions + membership flags.
     queue: VecDeque<u32>,
     in_queue: Vec<bool>,
     // Scratch: dedup flags for cells touched by the current splitter.
-    pub(crate) in_affected: Vec<bool>,
+    in_affected: Vec<bool>,
     // Vertices whose cells became singletons during the current run, in
     // creation order (isomorphism-invariant, since creation follows the
     // invariant queue discipline).
     new_singletons: Vec<V>,
-}
-
-impl Default for Partition {
-    fn default() -> Self {
-        Partition::new()
-    }
+    // Scratch: vertices with a nonzero count in the current pass.
+    touched: Vec<V>,
+    // Scratch: affected cell starts of the current pass, ascending.
+    affected: Vec<u32>,
+    // Scratch: one cell's `(count, vertex)` pairs in span order.
+    members: Vec<(u32, V)>,
+    // Scratch: radix-ordered copy of `members`, and its count histogram.
+    sorted: Vec<(u32, V)>,
+    hist: Vec<u32>,
+    // Per-cell aggregates over *touched* members, indexed by cell start
+    // and reset through `affected` after every splitter: how many
+    // members were touched, and the min/max of their counts. A cell
+    // splits iff some member was untouched (`touched < len`, giving a
+    // zero-count fragment) or the touched counts differ — decidable in
+    // O(touched) without scanning the cell, which is what makes
+    // repeatedly-grazed hub cells cheap.
+    touched_cnt: Vec<u32>,
+    touched_min: Vec<u32>,
+    touched_max: Vec<u32>,
+    // Scratch mask of one cell's members, `ceil(n / 64)` words; its
+    // set-bit walk enumerates them in ascending vertex id. Always left
+    // all-zero between splits.
+    cell_mask: Vec<u64>,
 }
 
 #[inline]
@@ -58,17 +79,7 @@ impl Partition {
     /// An empty partition over zero vertices: the starting state for
     /// [`Partition::reset_from_coloring`]-based reuse.
     pub fn new() -> Self {
-        Partition {
-            lab: Vec::new(),
-            pos: Vec::new(),
-            cell_start: Vec::new(),
-            cell_len: Vec::new(),
-            cnt: Vec::new(),
-            queue: VecDeque::new(),
-            in_queue: Vec::new(),
-            in_affected: Vec::new(),
-            new_singletons: Vec::new(),
-        }
+        Partition::default()
     }
 
     /// Builds the internal representation from a [`Coloring`].
@@ -119,6 +130,16 @@ impl Partition {
         self.in_affected.clear();
         self.in_affected.resize(n, false);
         self.new_singletons.clear();
+        // The aggregate arrays and the mask at their resting state (no
+        // touched members recorded); every splitter pass restores it.
+        self.touched_cnt.clear();
+        self.touched_cnt.resize(n, 0);
+        self.touched_min.clear();
+        self.touched_min.resize(n, u32::MAX);
+        self.touched_max.clear();
+        self.touched_max.resize(n, 0);
+        self.cell_mask.clear();
+        self.cell_mask.resize(n.div_ceil(64), 0);
     }
 
     /// Number of vertices.
@@ -169,12 +190,12 @@ impl Partition {
         }
     }
 
-    /// Refines to the coarsest equitable partition using `k`, returning
-    /// the trace hash. All current cells are used as initial splitters;
+    /// Refines to the coarsest equitable partition, returning the trace
+    /// hash. All current cells are used as initial splitters;
     /// every singleton cell of the *result* counts as newly created.
-    pub fn refine(&mut self, g: &Graph, k: &mut dyn RefineKernel) -> u64 {
+    pub fn refine(&mut self, g: &Graph) -> u64 {
         self.seed_refine();
-        self.run(g, k, 0x5ee2_c3a1_d00d_f00d, None)
+        self.run(g, 0x5ee2_c3a1_d00d_f00d, None)
             // dvicl-lint: allow(panic-freedom) -- run() only errs on budget exhaustion, and no budget is passed here
             .expect("un-budgeted refinement cannot fail")
     }
@@ -182,14 +203,9 @@ impl Partition {
     /// Budgeted [`Partition::refine`]: spends one work unit per splitter
     /// processed, so a deadline interrupts refinement itself, not just
     /// the search loop around it.
-    pub fn try_refine(
-        &mut self,
-        g: &Graph,
-        k: &mut dyn RefineKernel,
-        budget: &Budget,
-    ) -> Result<u64, DviclError> {
+    pub fn try_refine(&mut self, g: &Graph, budget: &Budget) -> Result<u64, DviclError> {
         self.seed_refine();
-        self.run(g, k, 0x5ee2_c3a1_d00d_f00d, Some(budget))
+        self.run(g, 0x5ee2_c3a1_d00d_f00d, Some(budget))
     }
 
     fn seed_refine(&mut self) {
@@ -205,13 +221,13 @@ impl Partition {
     }
 
     /// Individualizes `v` (splitting it to the front of its cell) and
-    /// refines with the two fragments as seeds, using `k`. Panics if `v`
+    /// refines with the two fragments as seeds. Panics if `v`
     /// is already in a singleton cell. Returns the trace hash, seeded
     /// with `v`'s color — an isomorphism-invariant of the branching
     /// decision.
-    pub fn individualize_and_refine(&mut self, g: &Graph, k: &mut dyn RefineKernel, v: V) -> u64 {
+    pub fn individualize_and_refine(&mut self, g: &Graph, v: V) -> u64 {
         let seed = self.seed_individualize(v);
-        self.run(g, k, seed, None)
+        self.run(g, seed, None)
             // dvicl-lint: allow(panic-freedom) -- run() only errs on budget exhaustion, and no budget is passed here
             .expect("un-budgeted refinement cannot fail")
     }
@@ -220,12 +236,11 @@ impl Partition {
     pub fn try_individualize_and_refine(
         &mut self,
         g: &Graph,
-        k: &mut dyn RefineKernel,
         v: V,
         budget: &Budget,
     ) -> Result<u64, DviclError> {
         let seed = self.seed_individualize(v);
-        self.run(g, k, seed, Some(budget))
+        self.run(g, seed, Some(budget))
     }
 
     // dvicl-lint: allow(budget-reachability) -- O(cell length) splice of {v} to the cell front; run() meters the refinement that follows
@@ -255,27 +270,17 @@ impl Partition {
     }
 
     /// Core worklist loop. `seed` initializes the trace hash; one work
-    /// unit is spent per splitter when a budget is supplied. The kernel
-    /// decides how each splitter's counts are computed; the loop, the
-    /// budget metering and the trace-per-splitter mix are
-    /// kernel-independent.
-    fn run(
-        &mut self,
-        g: &Graph,
-        k: &mut dyn RefineKernel,
-        seed: u64,
-        budget: Option<&Budget>,
-    ) -> Result<u64, DviclError> {
-        k.reset(g);
+    /// unit is spent per splitter when a budget is supplied.
+    fn run(&mut self, g: &Graph, seed: u64, budget: Option<&Budget>) -> Result<u64, DviclError> {
         let mut trace = seed;
         while let Some(s) = self.queue.pop_front() {
-            dvicl_obs::bump(dvicl_obs::Counter::RefineRounds);
+            obs::bump(Counter::RefineRounds);
             if let Some(b) = budget {
                 b.spend(1)?;
             }
             self.in_queue[s as usize] = false;
             trace = mix(trace, 0xA110 ^ (s as u64) << 16);
-            trace = k.split_by(self, g, s, trace);
+            trace = self.split_by(g, s as usize, trace);
             // Early exit: a discrete partition cannot split further.
             // (Checked cheaply: every cell len 1 iff no queue progress can
             // help, but scanning is O(n); rely on natural termination.)
@@ -283,25 +288,172 @@ impl Partition {
         Ok(trace)
     }
 
-    /// The kernel-shared rewrite half of one cell split: takes the cell
-    /// at start `c` and its `members` as `(splitter-neighbor count,
-    /// vertex)` pairs sorted ascending, and performs the split —
-    /// Hopcroft's largest-fragment worklist exemption, the span/pos/cell
-    /// rewrite, singleton tracking, the per-fragment trace mix and
-    /// fragment enqueueing. Returns the updated trace (unchanged when
-    /// the counts are uniform and nothing splits).
+    /// Uses the cell at start `s` as a splitter: scatters each vertex's
+    /// neighbor count in that cell, then splits every affected cell.
+    /// Affected cells are discovered from the touched vertices and
+    /// processed in ascending start order. No splitter snapshot is taken:
+    /// the scatter loop finishes before any split moves `lab`, so the
+    /// splitter's span is stable while it is read. Returns the updated
+    /// trace.
+    fn split_by(&mut self, g: &Graph, s: usize, mut trace: u64) -> u64 {
+        let len = self.cell_len[s] as usize;
+        self.touched.clear();
+        for i in s..s + len {
+            let u = self.lab[i];
+            for &w in g.neighbors(u) {
+                if self.cnt[w as usize] == 0 {
+                    self.touched.push(w);
+                }
+                self.cnt[w as usize] += 1;
+            }
+        }
+        if self.touched.is_empty() {
+            return trace;
+        }
+        // Discover affected cells and aggregate their touched members
+        // (counts are final once the scatter loop above completes).
+        self.affected.clear();
+        for i in 0..self.touched.len() {
+            let w = self.touched[i];
+            let c = self.cell_start[w as usize] as usize;
+            if self.cell_len[c] <= 1 {
+                continue;
+            }
+            if !self.in_affected[c] {
+                self.in_affected[c] = true;
+                // dvicl-lint: allow(narrowing-cast) -- c < n <= V::MAX
+                self.affected.push(c as u32);
+            }
+            let cv = self.cnt[w as usize];
+            self.touched_cnt[c] += 1;
+            self.touched_min[c] = self.touched_min[c].min(cv);
+            self.touched_max[c] = self.touched_max[c].max(cv);
+        }
+        self.affected.sort_unstable();
+        for i in 0..self.affected.len() {
+            let c = self.affected[i] as usize;
+            self.in_affected[c] = false;
+            let clen = self.cell_len[c] as usize;
+            let tc = self.touched_cnt[c] as usize;
+            let (lo, hi) = (self.touched_min[c], self.touched_max[c]);
+            self.touched_cnt[c] = 0;
+            self.touched_min[c] = u32::MAX;
+            self.touched_max[c] = 0;
+            // Uniform iff every member was touched and with the same
+            // count (untouched members count zero, touched ones at least
+            // one): such a cell does not split and is never scanned.
+            if tc == clen && lo == hi {
+                continue;
+            }
+            let lo = if tc < clen { 0 } else { lo };
+            trace = self.split_cell(c, clen, lo, hi, trace);
+        }
+        for i in 0..self.touched.len() {
+            self.cnt[self.touched[i] as usize] = 0;
+        }
+        trace
+    }
+
+    /// Splits the non-uniform cell `[c, c+len)` whose counts range over
+    /// `[lo, hi]`, feeding [`Partition::rewrite_split`] its members
+    /// ordered ascending by `(count, vertex)`.
     ///
-    /// Every [`RefineKernel`] funnels its splits through here, which is
-    /// what pins their partitions and traces to each other: a kernel
-    /// only chooses *how counts are computed*, never how a split is
-    /// realized.
+    /// Large cells with a compact count range go through a degree-bucket
+    /// radix split (a stable counting sort); small cells, or counts too
+    /// spread for a histogram, take a comparison sort. The radix split's
+    /// stability must run over members in ascending vertex id to land in
+    /// `(count, vertex)` order: cell spans are almost always already
+    /// ascending (a [`Coloring`]'s cells are sorted, and every fragment
+    /// [`Partition::rewrite_split`] writes is ascending), so the gather
+    /// pass checks for that and places straight off the span; a
+    /// non-ascending span (left by an individualization swap) falls back
+    /// to the cell-membership mask walk, whose set-bit order restores
+    /// ascending ids. Returns the updated trace.
+    fn split_cell(&mut self, c: usize, len: usize, lo: u32, hi: u32, trace: u64) -> u64 {
+        let mut ascending = true;
+        let mut prev = 0 as V;
+        self.members.clear();
+        for i in c..c + len {
+            let v = self.lab[i];
+            ascending &= i == c || v > prev;
+            prev = v;
+            self.members.push((self.cnt[v as usize], v));
+        }
+        let spread = (hi - lo) as usize;
+        if len < RADIX_MIN_LEN || spread > 4 * len {
+            self.members.sort_unstable();
+            let members = std::mem::take(&mut self.members);
+            let trace = self.rewrite_split(c, &members, trace);
+            self.members = members;
+            return trace;
+        }
+        // Degree-bucket radix split: histogram the counts, then place
+        // each member stably into its count bucket.
+        self.hist.clear();
+        self.hist.resize(spread + 1, 0);
+        for &(cv, _) in &self.members {
+            self.hist[(cv - lo) as usize] += 1;
+        }
+        let mut run = 0u32;
+        for h in &mut self.hist {
+            let start = run;
+            run += *h;
+            *h = start;
+        }
+        self.sorted.clear();
+        self.sorted.resize(len, (0, 0));
+        if ascending {
+            for &(cv, v) in &self.members {
+                let slot = self.hist[(cv - lo) as usize];
+                self.sorted[slot as usize] = (cv, v);
+                self.hist[(cv - lo) as usize] = slot + 1;
+            }
+        } else {
+            for &(_, v) in &self.members {
+                self.cell_mask[(v >> 6) as usize] |= 1u64 << (v & 63);
+            }
+            for w in 0..self.cell_mask.len() {
+                let mut bits = self.cell_mask[w];
+                // Clearing each word as it is read restores the mask's
+                // all-zero resting state without a second pass.
+                self.cell_mask[w] = 0;
+                while bits != 0 {
+                    // dvicl-lint: allow(narrowing-cast) -- w*64 + bit index < n <= V::MAX
+                    let v = ((w << 6) + bits.trailing_zeros() as usize) as V;
+                    bits &= bits - 1;
+                    let cv = self.cnt[v as usize];
+                    let slot = self.hist[(cv - lo) as usize];
+                    self.sorted[slot as usize] = (cv, v);
+                    self.hist[(cv - lo) as usize] = slot + 1;
+                }
+            }
+        }
+        obs::bump(Counter::RadixSplits);
+        let sorted = std::mem::take(&mut self.sorted);
+        let trace = self.rewrite_split(c, &sorted, trace);
+        self.sorted = sorted;
+        trace
+    }
+
+    /// The rewrite half of one cell split: takes the cell at start `c`
+    /// and its `members` as `(splitter-neighbor count, vertex)` pairs
+    /// sorted ascending, with at least two distinct counts, and performs
+    /// the split — Hopcroft's largest-fragment worklist exemption, the
+    /// span/pos/cell rewrite, singleton tracking, the per-fragment trace
+    /// mix and fragment enqueueing. Returns the updated trace.
     // dvicl-lint: allow(budget-reachability) -- O(cell length) rewrite of one cell span; run() meters the worklist that drives it
-    pub(crate) fn rewrite_split(&mut self, c: usize, members: &[(u32, V)], mut trace: u64) -> u64 {
+    fn rewrite_split(&mut self, c: usize, members: &[(u32, V)], mut trace: u64) -> u64 {
         let len = members.len();
         debug_assert_eq!(len, self.cell_len[c] as usize);
-        if members[0].0 == members[len - 1].0 {
-            return trace; // no split
-        }
+        debug_assert!(
+            members.windows(2).all(|w| w[0] < w[1]),
+            "members must ascend by (count, vertex)"
+        );
+        debug_assert_ne!(
+            members[0].0,
+            members[len - 1].0,
+            "uniform cells never split"
+        );
         // Hopcroft rule: if the split cell is not itself pending as a
         // splitter, the largest fragment can stay off the worklist — the
         // other fragments subsume its splitting power. (If it IS pending,
