@@ -3,9 +3,10 @@
 //! canonical-fingerprint index versus M×N pairwise tests.
 //!
 //! The index path canonicalizes each query exactly once through one
-//! reusable [`Session`] and probes by 128-bit fingerprint; the pairwise
-//! baseline runs `are_isomorphic(query, candidate)` over the full
-//! corpus, the way a system without certificates must. Both phases are
+//! reusable [`Session`](dvicl_core::Session) and probes by 128-bit
+//! fingerprint; the pairwise baseline runs
+//! `are_isomorphic(query, candidate)` over the full corpus, the way a
+//! system without certificates must. Both phases are
 //! counter-proven, not just timed: the lookup phase asserts exactly
 //! M session builds and M index probes, and the binary fails (exit 1)
 //! unless the index path is at least 10× faster.

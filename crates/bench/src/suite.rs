@@ -22,31 +22,15 @@ use dvicl_obs::{self as obs, JsonArr, JsonObj, Snapshot, Value};
 use std::time::{Duration, Instant};
 
 /// The settings shared by every table binary, as parsed by [`init_obs`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Opts {
     /// `--paranoid` / `DVICL_PARANOID`: every AutoTree a table binary
     /// builds is re-checked against its witness before its row is
     /// recorded (DESIGN.md §11).
     pub paranoid: bool,
-    /// `--threads` / `DVICL_THREADS`: the width of every DviCL build
-    /// (default 1; `0` = all cores). Baseline engines ignore it — only
-    /// AutoTree construction parallelizes — and the certificates are
-    /// byte-identical at any width, so the columns stay comparable
-    /// across widths.
-    pub threads: usize,
     /// `--target-cell` / `DVICL_TARGET_CELL`: overrides every engine's
     /// own selector (nauty-like first, traces-like largest, ...).
     pub target_cell: Option<TargetCell>,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            paranoid: false,
-            threads: 1,
-            target_cell: None,
-        }
-    }
 }
 
 /// Applies the `--target-cell` override to an engine configuration.
@@ -82,9 +66,8 @@ pub fn budget() -> Duration {
 }
 
 /// Parses the flags shared by every table binary (`--stats`,
-/// `--paranoid`, `--threads <N>`, `--target-cell <T>`,
-/// `--trace-json <path>`), installs the matching sink and returns the
-/// build settings. `DVICL_PARANOID` / `DVICL_THREADS` /
+/// `--paranoid`, `--target-cell <T>`, `--trace-json <path>`), installs
+/// the matching sink and returns the build settings. `DVICL_PARANOID` /
 /// `DVICL_TARGET_CELL` are the environment equivalents (a flag wins over
 /// its variable). Call first in `main`; [`Recorder::write`] flushes the
 /// sink at the end via `dvicl_obs::finish`.
@@ -95,15 +78,6 @@ pub fn init_obs() -> Opts {
     let mut trace: Option<String> = None;
     if std::env::var("DVICL_PARANOID").map(|v| !v.is_empty() && v != "0") == Ok(true) {
         opts.paranoid = true;
-    }
-    if let Ok(v) = std::env::var("DVICL_THREADS") {
-        match v.parse::<usize>() {
-            Ok(n) => opts.threads = n,
-            Err(_) => {
-                eprintln!("DVICL_THREADS: not a count: {v:?}");
-                std::process::exit(2);
-            }
-        }
     }
     if let Ok(v) = std::env::var("DVICL_TARGET_CELL") {
         match TargetCell::parse(&v) {
@@ -119,14 +93,6 @@ pub fn init_obs() -> Opts {
         match args[i].as_str() {
             "--stats" => stats = true,
             "--paranoid" => opts.paranoid = true,
-            "--threads" => {
-                let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-                    eprintln!("--threads requires a count (0 = all cores)");
-                    std::process::exit(2);
-                };
-                opts.threads = n;
-                i += 1;
-            }
             "--target-cell" => {
                 let Some(t) = args.get(i + 1).and_then(|v| TargetCell::parse(v)) else {
                     eprintln!("--target-cell requires first|smallest|largest|most-constrained");
@@ -145,7 +111,7 @@ pub fn init_obs() -> Opts {
             }
             other => {
                 eprintln!(
-                    "unknown flag {other} (expected --stats, --paranoid, --threads <N>, \
+                    "unknown flag {other} (expected --stats, --paranoid, \
                      --target-cell <T> or --trace-json <path>)"
                 );
                 std::process::exit(2);
@@ -238,7 +204,6 @@ pub fn run_baseline(opts: &Opts, g: &Graph, config: &Config) -> Run {
 pub fn dvicl_session(opts: &Opts, config: &Config) -> Session {
     Session::new(DviclOptions {
         leaf_config: configured(opts, config.clone()),
-        threads: opts.threads,
         ..DviclOptions::default()
     })
 }

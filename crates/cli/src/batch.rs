@@ -115,11 +115,9 @@ impl Service {
             None => FingerprintIndex::new(),
         };
         // The same leaf configuration the other subcommands build with
-        // (traces-like plus any --target-cell override); the global
-        // --threads width applies to every request's build.
+        // (traces-like plus any --target-cell override).
         let session = Session::new(DviclOptions {
             leaf_config: gl.leaf_config(),
-            threads: gl.threads,
             ..DviclOptions::default()
         });
         Ok(Service {

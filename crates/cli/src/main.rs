@@ -20,10 +20,7 @@
 //!
 //! Every subcommand accepts `--timeout <DUR>` (e.g. `100ms`, `5s`, `2m`)
 //! and `--max-nodes <N>`, which govern the whole run under one shared
-//! budget, and `--threads <N>`, which widens tree builds over a scoped
-//! work-stealing pool (default 1; `0` = all cores; results are
-//! byte-identical at any width). Exit codes: 0 success, 2 bad input or
-//! usage, 3 budget
+//! budget. Exit codes: 0 success, 2 bad input or usage, 3 budget
 //! exceeded. When `--max-nodes` stops the divide-and-conquer build, the
 //! run degrades to whole-graph labeling (still correct, noted on stderr)
 //! instead of failing.
@@ -67,9 +64,6 @@ pub(crate) struct Globals {
     /// `--paranoid`: re-check every result against its witness before
     /// reporting it.
     pub(crate) paranoid: bool,
-    /// `--threads` (default 1; `0` means all available parallelism).
-    /// Certificates are byte-identical at any width.
-    pub(crate) threads: usize,
     /// `--target-cell`; `None` keeps the configuration's own selector.
     target_cell: Option<dvicl_canon::TargetCell>,
 }
@@ -190,7 +184,7 @@ impl ObsConfig {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  dvicl canon    <GRAPH>\n  dvicl aut      <GRAPH>\n  dvicl iso      <GRAPH> <GRAPH>\n  dvicl tree     <GRAPH> [--render]\n  dvicl ssm      <GRAPH> <v,v,...> [--limit N]\n  dvicl ksym     <GRAPH> <k>\n  dvicl quotient <GRAPH>\n  dvicl dataset  <NAME>\n  dvicl convert  <GRAPH>\n  dvicl batch    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N] [QUERIES]\n  dvicl serve    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N]\n\nGRAPH: edge-list path, '-' for stdin (at most once), or g6:<graph6-literal>\nQUERIES: lines of `insert|lookup|groupsize g6:<literal>|el:u-v,u-v,...`\n\nglobal flags (any subcommand):\n  --timeout <DUR>      wall-clock budget (100ms, 5s, 2m, ...)\n  --max-nodes <N>      work budget in search/build nodes\n  --threads <N>        worker threads for tree builds (default 1, 0 = all cores)\n  --target-cell <T>    IR target cell: first|smallest|largest|most-constrained\n  --stats              counter + phase-time report on stderr\n  --trace-json <PATH>  NDJSON events + summary to PATH\n  --paranoid           re-check every result against its witness\n  --fault-plan <SPEC>  deterministic fault injection (see DESIGN.md §11)\n\nexit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 witness check failed"
+    "usage:\n  dvicl canon    <GRAPH>\n  dvicl aut      <GRAPH>\n  dvicl iso      <GRAPH> <GRAPH>\n  dvicl tree     <GRAPH> [--render]\n  dvicl ssm      <GRAPH> <v,v,...> [--limit N]\n  dvicl ksym     <GRAPH> <k>\n  dvicl quotient <GRAPH>\n  dvicl dataset  <NAME>\n  dvicl convert  <GRAPH>\n  dvicl batch    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N] [QUERIES]\n  dvicl serve    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N]\n\nGRAPH: edge-list path, '-' for stdin (at most once), or g6:<graph6-literal>\nQUERIES: lines of `insert|lookup|groupsize g6:<literal>|el:u-v,u-v,...`\n\nglobal flags (any subcommand):\n  --timeout <DUR>      wall-clock budget (100ms, 5s, 2m, ...)\n  --max-nodes <N>      work budget in search/build nodes\n  --target-cell <T>    IR target cell: first|smallest|largest|most-constrained\n  --stats              counter + phase-time report on stderr\n  --trace-json <PATH>  NDJSON events + summary to PATH\n  --paranoid           re-check every result against its witness\n  --fault-plan <SPEC>  deterministic fault injection (see DESIGN.md §11)\n\nexit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 witness check failed"
 }
 
 /// A CLI failure: either a usage mistake (print the help text, exit 2)
@@ -214,7 +208,6 @@ fn global_flags(args: Vec<String>) -> Result<(Vec<String>, Globals), DviclError>
     let mut max_nodes = None;
     let mut obs_cfg = ObsConfig::default();
     let mut paranoid = false;
-    let mut threads = 1;
     let mut target_cell = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -235,14 +228,6 @@ fn global_flags(args: Vec<String>) -> Result<(Vec<String>, Globals), DviclError>
             }
             "--stats" => obs_cfg.stats = true,
             "--paranoid" => paranoid = true,
-            "--threads" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| DviclError::invalid("--threads needs a count (0 = all cores)"))?;
-                threads = v
-                    .parse::<usize>()
-                    .map_err(|_| DviclError::invalid(format!("--threads: not a count: {v:?}")))?;
-            }
             "--target-cell" => {
                 let v = it.next().ok_or_else(|| {
                     DviclError::invalid("--target-cell needs first|smallest|largest|most-constrained")
@@ -270,7 +255,6 @@ fn global_flags(args: Vec<String>) -> Result<(Vec<String>, Globals), DviclError>
         budget: Budget::new(timeout, max_nodes),
         obs: obs_cfg,
         paranoid,
-        threads,
         target_cell,
     };
     Ok((rest, globals))
@@ -372,11 +356,8 @@ fn load_text(text: &str) -> Result<Graph, DviclError> {
 }
 
 fn build(g: &Graph, gl: &Globals) -> Result<AutoTree, DviclError> {
-    // `--threads` only changes wall-clock time: the parallel build's
-    // deterministic merge keeps the tree byte-identical (DESIGN.md §14).
     let opts = DviclOptions {
         leaf_config: gl.leaf_config(),
-        threads: gl.threads,
         ..DviclOptions::default()
     };
     let outcome = build_autotree_resilient(g, &Coloring::unit(g.n()), &opts, &gl.budget)?;

@@ -88,12 +88,26 @@ fn ssm_rejects_a_bad_or_missing_limit() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("--limit"), "{args:?}: {stderr}");
     }
-    // A valid limit below the 15 edge images truncates the listing; the
-    // default limit of 20 would have listed all of them.
+    // A valid limit below the 15 edge images lists the first 3 of them,
+    // in the order the complete listing (default limit 20) starts with.
+    let listed = |stdout: &str| -> Vec<String> {
+        stdout
+            .lines()
+            .filter(|l| l.starts_with("  ["))
+            .map(str::to_string)
+            .collect()
+    };
     let (stdout, _, ok) = dvicl(&[&petersen_edge[..], &["--limit", "3"]].concat());
     assert!(ok);
     assert!(stdout.contains("images under Aut(G): 15"), "got: {stdout}");
-    assert!(!stdout.contains("(complete)"), "got: {stdout}");
+    assert!(stdout.contains("first 3 matches:\n"), "got: {stdout}");
+    let (complete, _, ok) = dvicl(&petersen_edge);
+    assert!(ok);
+    assert!(
+        complete.contains("first 15 matches (complete):"),
+        "got: {complete}"
+    );
+    assert_eq!(listed(&stdout), listed(&complete)[..3]);
 }
 
 #[test]

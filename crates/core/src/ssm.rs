@@ -359,31 +359,29 @@ fn analyze_leaf(
                 .collect()
         })
         .collect();
-    let count = orbit_of_set(&local_set, &gens, None, gov)?
-        .map(|orbit| BigUint::from_u64(orbit.len() as u64))
-        // dvicl-lint: allow(panic-freedom) -- orbit_of_set returns Ok(None) only when a cap is given, and cap is None here
-        .expect("uncapped orbit enumeration cannot fail");
-    Ok((key, count))
+    let count = orbit_of_set(&local_set, &gens, usize::MAX, gov)?.len();
+    Ok((key, BigUint::from_u64(count as u64)))
 }
 
-/// BFS over set images under sparse generators; `cap` bounds the orbit size
-/// (None = unbounded). Returns the orbit as sorted sets, or `Ok(None)` if
-/// the cap was hit. Spends one work unit per explored image.
+/// BFS over set images under sparse generators, as sorted sets in
+/// discovery order. The search stops once `cap` images are found and
+/// returns the first `cap` images of the uncapped run (`usize::MAX` =
+/// the whole orbit). Spends one work unit per explored image.
 fn orbit_of_set(
     start: &[u32],
     gens: &[FxHashMap<u32, u32>],
-    cap: Option<usize>,
+    cap: usize,
     gov: &Budget,
-) -> Result<Option<Vec<Vec<u32>>>, DviclError> {
+) -> Result<Vec<Vec<u32>>, DviclError> {
     let mut start = start.to_vec();
     start.sort_unstable();
     let mut seen: FxHashSet<Vec<u32>> = FxHashSet::default();
     seen.insert(start.clone());
     let mut queue = vec![start];
     let mut head = 0;
-    while head < queue.len() {
+    while head < queue.len() && queue.len() < cap {
         dvicl_obs::bump(dvicl_obs::Counter::SsmStates);
-    gov.spend(1)?;
+        gov.spend(1)?;
         let cur = queue[head].clone();
         head += 1;
         for gen in gens {
@@ -393,16 +391,12 @@ fn orbit_of_set(
                 .collect();
             img.sort_unstable();
             if seen.insert(img.clone()) {
-                if let Some(c) = cap {
-                    if seen.len() > c {
-                        return Ok(None);
-                    }
-                }
                 queue.push(img);
             }
         }
     }
-    Ok(Some(queue))
+    queue.truncate(cap);
+    Ok(queue)
 }
 
 // ---------------------------------------------------------------------
@@ -453,7 +447,7 @@ pub fn try_enumerate_images(
     let mut slots = limit;
     let matches = enum_at(tree, index, tree.root(), &set, &mut slots, budget, &mut builder)?;
     // The run is truncated iff the true image count exceeds what was
-    // returned (the slot accounting inside the recursion is conservative).
+    // returned.
     let truncated = match analyze(tree, index, tree.root(), &set, budget, &mut builder)?
         .1
         .to_u64()
@@ -498,10 +492,9 @@ fn enum_at(
                 .leaf_generators()
                 .map(|s| s.iter().map(|&(a, b)| (vmap[&a], vmap[&b])).collect())
                 .collect();
-            let orbit = orbit_of_set(&local, &gens, Some(*slots), gov)?.unwrap_or_default();
+            let orbit = orbit_of_set(&local, &gens, *slots, gov)?;
             let out: Vec<Vec<V>> = orbit
                 .into_iter()
-                .take(*slots)
                 .map(|s| {
                     let mut g: Vec<V> = s.iter().map(|&i| n.verts()[i as usize]).collect();
                     g.sort_unstable();
@@ -875,12 +868,25 @@ mod tests {
         // C(8,3) = 56 images of a 3-leaf subset.
         let res = enumerate_images(&t, &i, &[1, 2, 3], 10);
         assert!(res.truncated);
-        assert!(res.matches.len() <= 10);
-        assert!(!res.matches.is_empty());
         let full = enumerate_images(&t, &i, &[1, 2, 3], 100);
         assert!(!full.truncated);
         assert_eq!(full.matches.len(), 56);
+        assert_eq!(res.matches, full.matches[..10]);
         assert_eq!(count_images(&t, &i, &[1, 2, 3]).to_u64(), Some(56));
+    }
+
+    #[test]
+    fn result_limit_returns_a_prefix_of_the_full_listing() {
+        // Petersen is one non-singleton leaf; an edge has 15 images.
+        let (t, i) = setup(&named::petersen());
+        let full = enumerate_images(&t, &i, &[0, 1], usize::MAX);
+        assert_eq!(full.matches.len(), 15);
+        assert!(!full.truncated);
+        for limit in [0, 1, 3, 15, 16] {
+            let res = enumerate_images(&t, &i, &[0, 1], limit);
+            assert_eq!(res.matches, full.matches[..limit.min(15)], "limit {limit}");
+            assert_eq!(res.truncated, limit < 15, "limit {limit}");
+        }
     }
 
     #[test]

@@ -40,6 +40,23 @@ pub use budget::{Budget, CancelToken, STRIDE};
 pub use error::{DviclError, ParseError, ParseErrorKind, Resource};
 pub use fault::{FaultAction, FaultArm, FaultPlan};
 
+/// The installed fault plan and its checkpoint hit counts are
+/// process-global, and `cargo test` runs a crate's tests on parallel
+/// threads. Every test here that installs a plan or passes a checkpoint
+/// (including `govern.spend` inside [`Budget::spend`]) holds this lock,
+/// so a probe plan never counts another test's hits and an injected
+/// fault never lands in another test.
+#[cfg(test)]
+static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Takes [`TEST_LOCK`], recovering it if an earlier test panicked.
+#[cfg(test)]
+fn serial_test() -> std::sync::MutexGuard<'static, ()> {
+    TEST_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 use std::time::Duration;
 
 /// Parses a human-friendly duration: `100ms`, `5s`, `2m`, `1h`, or a

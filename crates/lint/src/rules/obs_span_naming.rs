@@ -16,9 +16,9 @@ pub const ID: &str = "obs-span-naming";
 /// First-segment vocabulary: the workspace's crate short names (plus
 /// `dvicl` for the root crate). Kept in one place so adding a crate is
 /// a one-line change.
-pub const KNOWN_PREFIXES: [&str; 15] = [
+pub const KNOWN_PREFIXES: [&str; 14] = [
     "graph", "govern", "group", "refine", "canon", "core", "apps", "data", "cli", "bench",
-    "lint", "obs", "index", "pool", "dvicl",
+    "lint", "obs", "index", "dvicl",
 ];
 
 fn is_segment(s: &str) -> bool {

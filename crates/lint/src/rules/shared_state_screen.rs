@@ -36,7 +36,6 @@ fn is_hot_root_file(rel: &str) -> bool {
     rel == "crates/core/src/build.rs"
         || rel.starts_with("crates/refine/src")
         || rel.starts_with("crates/canon/src")
-        || rel.starts_with("crates/pool/src")
 }
 
 /// Whether `name` occurs in `type_text` as a whole identifier (so `Rc`

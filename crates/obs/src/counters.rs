@@ -72,20 +72,13 @@ pub enum Counter {
     /// Builds served by a `core::Session` that reused its arena pools
     /// and CombineCL memo from an earlier build (`core::Session`).
     SessionArenaReuses,
-    /// Subtree jobs spawned onto the work-stealing pool — fragments
-    /// built away from their parent's call stack (`core::pool`).
-    PoolTasks,
-    /// Pool jobs executed by a worker other than the one that spawned
-    /// them (`core::pool`). `pool_tasks - pool_steals` jobs were
-    /// popped back by their owner.
-    PoolSteals,
     /// Cell splits realized by the degree-bucket radix (counting) sort
     /// instead of a comparison sort (`refine::Partition`).
     RadixSplits,
 }
 
 /// How many counters exist (the length of [`Counter::ALL`]).
-pub const NUM_COUNTERS: usize = 27;
+pub const NUM_COUNTERS: usize = 25;
 
 impl Counter {
     /// Every counter, in reporting order.
@@ -114,8 +107,6 @@ impl Counter {
         Counter::IndexHits,
         Counter::IndexCollisions,
         Counter::SessionArenaReuses,
-        Counter::PoolTasks,
-        Counter::PoolSteals,
         Counter::RadixSplits,
     ];
 
@@ -151,8 +142,6 @@ impl Counter {
             Counter::IndexHits => "index_hits",
             Counter::IndexCollisions => "index_collisions",
             Counter::SessionArenaReuses => "session_arena_reuses",
-            Counter::PoolTasks => "pool_tasks",
-            Counter::PoolSteals => "pool_steals",
             Counter::RadixSplits => "radix_splits",
         }
     }

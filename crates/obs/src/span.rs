@@ -70,7 +70,7 @@ mod imp {
         TIMING.load(Ordering::Relaxed)
     }
 
-    /// A scope guard created by [`span`](crate::span); on drop it folds
+    /// A scope guard created by [`span`](crate::span()); on drop it folds
     /// the scope's duration into the process-wide phase table.
     #[must_use = "a span measures until it is dropped; binding it to _ drops it immediately"]
     pub struct Span {
@@ -192,10 +192,16 @@ pub use imp::{phases, reset_phases, set_timing, span, timing_enabled, Span};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
+
+    /// The timing switch and the phase table are process-global: a test
+    /// that turns timing on must not overlap one that counts phases.
+    static LOCK: Mutex<()> = Mutex::new(());
 
     #[cfg(not(feature = "obs-off"))]
     #[test]
     fn nesting_attributes_self_time_to_each_label() {
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         set_timing(true);
         {
             let _outer = span("obs.outer_phase");
@@ -224,6 +230,7 @@ mod tests {
 
     #[test]
     fn disabled_span_is_inert() {
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         set_timing(false);
         let before = phases().len();
         {
