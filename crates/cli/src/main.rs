@@ -267,31 +267,76 @@ fn run(args: &[String], gl: &Globals) -> Result<(), CliError> {
     let mut loader = Loader::default();
     let ld = &mut loader;
     match cmd.as_str() {
-        "canon" => canon(ld, arg(args, 1)?, gl),
-        "aut" => automorphisms(ld, arg(args, 1)?, gl),
-        "iso" => isomorphic(ld, arg(args, 1)?, arg(args, 2)?, gl),
-        "tree" => tree(ld, arg(args, 1)?, args.iter().any(|a| a == "--render"), gl),
-        "ssm" => ssm(
-            ld,
-            arg(args, 1)?,
-            arg(args, 2)?,
-            flag_value(args, "--limit")?,
-            gl,
-        ),
-        "ksym" => ksym_cmd(ld, arg(args, 1)?, arg(args, 2)?, gl),
-        "quotient" => quotient_cmd(ld, arg(args, 1)?, gl),
-        "dataset" => dataset(arg(args, 1)?),
-        "convert" => convert(ld, arg(args, 1)?, &gl.budget),
+        "canon" => {
+            let [g] = operands(args, &[])?;
+            canon(ld, g, gl)
+        }
+        "aut" => {
+            let [g] = operands(args, &[])?;
+            automorphisms(ld, g, gl)
+        }
+        "iso" => {
+            let [a, b] = operands(args, &[])?;
+            isomorphic(ld, a, b, gl)
+        }
+        "tree" => {
+            let [g] = operands(args, &[("--render", false)])?;
+            tree(ld, g, args.iter().any(|a| a == "--render"), gl)
+        }
+        "ssm" => {
+            let [g, set] = operands(args, &[("--limit", true)])?;
+            ssm(ld, g, set, flag_value(args, "--limit")?, gl)
+        }
+        "ksym" => {
+            let [g, k] = operands(args, &[])?;
+            ksym_cmd(ld, g, k, gl)
+        }
+        "quotient" => {
+            let [g] = operands(args, &[])?;
+            quotient_cmd(ld, g, gl)
+        }
+        "dataset" => {
+            let [name] = operands(args, &[])?;
+            dataset(name)
+        }
+        "convert" => {
+            let [g] = operands(args, &[])?;
+            convert(ld, g, &gl.budget)
+        }
         "batch" => batch::batch(&args[1..], gl),
         "serve" => batch::serve(&args[1..], gl),
         other => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
     }
 }
 
-fn arg(args: &[String], i: usize) -> Result<&str, CliError> {
-    args.get(i)
-        .map(|s| s.as_str())
-        .ok_or_else(|| CliError::Usage(format!("missing argument #{i}")))
+/// The `N` positional operands of subcommand `args[0]`. The only other
+/// arguments it accepts are its `flags`, each `(name, takes_value)`; a
+/// flag's value is read by the subcommand itself. Anything else — a
+/// surplus operand, an unknown flag — is a usage error, never silently
+/// ignored.
+fn operands<'a, const N: usize>(
+    args: &'a [String],
+    flags: &[(&str, bool)],
+) -> Result<[&'a str; N], CliError> {
+    let mut found = [""; N];
+    let mut k = 0;
+    let mut it = args.iter().skip(1);
+    while let Some(a) = it.next() {
+        if let Some(&(_, takes_value)) = flags.iter().find(|(f, _)| f == a) {
+            if takes_value {
+                it.next();
+            }
+        } else if k < N && !a.starts_with("--") {
+            found[k] = a;
+            k += 1;
+        } else {
+            return Err(CliError::Usage(format!("unexpected argument `{a}`")));
+        }
+    }
+    if k < N {
+        return Err(CliError::Usage(format!("missing argument #{}", k + 1)));
+    }
+    Ok(found)
 }
 
 /// The count following `flag`, if the flag is present. A present flag

@@ -111,6 +111,28 @@ fn ssm_rejects_a_bad_or_missing_limit() {
 }
 
 #[test]
+fn one_shot_subcommands_reject_extra_arguments() {
+    // A surplus operand or a flag the subcommand does not take is a
+    // usage error (exit 2), never silently dropped.
+    for args in [
+        &["canon", "g6:Bw", "extra"][..],
+        &["canon", "g6:Bw", "g6:C~"],
+        &["aut", "g6:Bw", "--render"],
+        &["iso", "g6:Bw", "g6:Bw", "g6:Bw"],
+        &["ssm", "g6:IheA@GUAo", "0,1", "--render"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: no answer on stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unexpected argument"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn reads_edge_list_from_stdin() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_dvicl"))
         .args(["canon", "-"])

@@ -159,7 +159,6 @@ impl SubArena {
         parent: &Sub,
         locals: &[u32],
     ) -> Result<Sub, dvicl_govern::DviclError> {
-        // dvicl-lint: allow(arena-discipline) -- on success the carve survives by design: the mark exists only to roll back the over-ceiling path, and the caller releases the child with its own mark
         let mark = self.mark();
         let sub = self.induced_child(parent, locals);
         if let Some(ceil) = self.ceiling_bytes {

@@ -299,7 +299,7 @@ pub(crate) struct Scratch {
     pub(crate) key_scratch: Vec<u8>,
     /// Refinement state: the root refinement and every `CombineCL` leaf
     /// labeling of a build run through this refiner, so refinement
-    /// scratch (partition, cell masks, radix buffers) is allocated once
+    /// scratch (partition, radix buffers) is allocated once
     /// and reused across builds like the arena beside it.
     pub(crate) refiner: Refiner,
 }
@@ -910,6 +910,45 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn every_work_cap_leaves_only_the_root_segment_in_the_arena() {
+        // The arena's stack discipline, checked at run time: wherever a
+        // work cap trips, every child segment carved below the root has
+        // been released on the way out, so the arena holds nothing (the
+        // cap tripped before the root carve) or exactly the root's
+        // 4·(2n + 1 + 2m) bytes.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(60);
+        let mut edges = Vec::new();
+        for u in 0..60 as V {
+            for v in u + 1..60 {
+                if rng.gen_ratio(1, 20) {
+                    edges.push((u, v));
+                }
+            }
+        }
+        let opts = DviclOptions::default();
+        for g in [named::fig1_example(), named::petersen(), Graph::from_edges(60, &edges)] {
+            let pi = Coloring::unit(g.n());
+            let root = 4 * (2 * g.n() + 1 + 2 * g.m());
+            for k in (1..200).map(Some).chain([None]) {
+                let budget = k.map_or_else(Budget::unlimited, Budget::with_max_work);
+                let mut scratch = Scratch::new();
+                let built = try_build_autotree_in(&mut scratch, &g, &pi, &opts, &budget);
+                let bytes = scratch.arena.bytes_now();
+                assert!(
+                    bytes == 0 || bytes == root,
+                    "n={} k={k:?} bytes {bytes} root {root}",
+                    g.n()
+                );
+                if k.is_none() {
+                    assert!(built.is_ok() && bytes == root);
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! `#[cfg(test)]` items are dropped, then `// dvicl-lint: allow(...)
 //! -- reason` pragmas are applied per owning file. See DESIGN.md §8
 //! for the rule catalog and the suppression policy, §12 for the
-//! parser/call-graph/dataflow architecture.
+//! parser/call-graph architecture.
 //!
 //! What gets scanned: non-test sources of every workspace crate
 //! (`crates/*/src/**` and the root `src/`). Test-class trees (`tests/`,
@@ -26,13 +26,11 @@
 //! for third-party code the rules do not govern.
 
 pub mod callgraph;
-pub mod dataflow;
 pub mod lexer;
 pub mod parse;
 pub mod pragma;
 pub mod report;
 pub mod rules;
-pub mod send_safety;
 pub mod symbols;
 
 use lexer::{Tok, TokKind};

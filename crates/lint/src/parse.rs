@@ -3,8 +3,8 @@
 //! `dvicl-lint` stays dependency-free (no `syn`), so this recognizes
 //! exactly the item granularity the rules need — `fn`/`impl`/`struct`/
 //! `enum`/`static`/`const`/`use`/`mod`/`trait`/`type` — with code-token
-//! spans, in-file module paths, enclosing `impl` types, struct field
-//! types, and `thread_local!` awareness. It is *not* a grammar: bodies
+//! spans, in-file module paths, enclosing `impl` types, and struct
+//! field / enum variant texts. It is *not* a grammar: bodies
 //! are brace-matched token ranges, types are source slices, and
 //! expressions are never interpreted. Two deliberate blind spots keep
 //! it honest on real code:
@@ -19,7 +19,7 @@
 //!
 //! Downstream consumers: `symbols` builds the workspace symbol table
 //! from these items, `callgraph` resolves call edges between the `Fn`
-//! items, and `dataflow` walks `Fn` body ranges.
+//! items, and the workspace rules read signatures and enum variants.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -64,15 +64,9 @@ pub struct Item {
     pub module: String,
     /// For items inside an `impl` block: the target type name.
     pub impl_type: Option<String>,
-    /// `static mut` / (never set for `const`).
-    pub is_mut: bool,
-    /// `Static`/`Const`: source text of the declared type.
-    pub type_text: String,
     /// `Struct`: `(field, type-text)` pairs (tuple fields named
     /// `"0"`, `"1"`, …). `Enum`: `(variant, payload-text)` pairs.
     pub fields: Vec<(String, String)>,
-    /// Declared inside a `thread_local! { … }` invocation.
-    pub thread_local: bool,
     /// The keyword falls inside a `#[cfg(test)]`/`#[test]` span.
     pub is_test: bool,
 }
@@ -81,7 +75,6 @@ pub struct Item {
 enum ScopeKind {
     Module(String),
     Impl(String),
-    ThreadLocal,
 }
 
 struct Scope {
@@ -224,10 +217,7 @@ impl<'a> Parser<'a> {
             sig: (kw_cp, kw_cp),
             module: self.module_path(scopes),
             impl_type: self.impl_type(scopes),
-            is_mut: false,
-            type_text: String::new(),
             fields: Vec::new(),
-            thread_local: scopes.iter().any(|s| matches!(s.kind, ScopeKind::ThreadLocal)),
             is_test: self.in_test(kw_cp),
         }
     }
@@ -265,7 +255,6 @@ pub fn items(src: &str, toks: &[Tok], code: &[usize], test_spans: &[(usize, usiz
             "use" => parse_use(&p, cp, &scopes, &mut out),
             "trait" => parse_trait(&p, cp, &scopes, &mut out),
             "type" => parse_type_alias(&p, cp, &scopes, &mut out),
-            "thread_local" => parse_thread_local(&p, cp, &mut scopes),
             "macro_rules" => skip_macro_rules(&p, cp),
             _ => cp + 1,
         };
@@ -483,18 +472,15 @@ fn parse_static(
     out: &mut Vec<Item>,
 ) -> usize {
     let mut k = cp + 1;
-    let is_mut = p.is_ident(k) && p.text(k) == "mut";
-    if is_mut {
+    if p.is_ident(k) && p.text(k) == "mut" {
         k += 1;
     }
     if !p.is_ident(k) || !p.is_punct(k + 1, b':') {
         return cp + 1;
     }
     let mut item = p.item(kind, cp, k, scopes);
-    item.is_mut = is_mut;
     let ty_start = k + 2;
     let end = p.scan_to(ty_start, b"=;").unwrap_or(ty_start);
-    item.type_text = p.slice(ty_start, end);
     item.sig = (cp, end);
     out.push(item);
     // Skip the initializer (it may contain braces).
@@ -520,7 +506,6 @@ fn parse_use(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>) -> us
         }
     }
     let mut item = p.item(ItemKind::Use, cp, name_cp, scopes);
-    item.type_text = p.slice(cp + 1, semi);
     item.sig = (cp, semi);
     out.push(item);
     semi + 1
@@ -547,19 +532,6 @@ fn parse_type_alias(p: &Parser, cp: usize, scopes: &[Scope], out: &mut Vec<Item>
     item.sig = (cp, semi);
     out.push(item);
     semi + 1
-}
-
-fn parse_thread_local(p: &Parser, cp: usize, scopes: &mut Vec<Scope>) -> usize {
-    if p.is_punct(cp + 1, b'!') && p.is_punct(cp + 2, b'{') {
-        if let Some(close) = p.matching_brace(cp + 2) {
-            scopes.push(Scope {
-                close_cp: close,
-                kind: ScopeKind::ThreadLocal,
-            });
-            return cp + 3;
-        }
-    }
-    cp + 1
 }
 
 fn skip_macro_rules(p: &Parser, cp: usize) -> usize {
@@ -761,15 +733,10 @@ mod tests {
             static PLAIN: AtomicU64 = AtomicU64::new(0);
         "#;
         let items = parse(src);
-        let g = find(&items, ItemKind::Static, "GLOBAL");
-        assert!(g.is_mut && !g.thread_local);
-        assert_eq!(g.type_text, "usize");
-        let limit = find(&items, ItemKind::Const, "LIMIT");
-        assert_eq!(limit.type_text, "u32");
-        let stack = find(&items, ItemKind::Static, "STACK");
-        assert!(stack.thread_local);
-        assert_eq!(stack.type_text, "RefCell<Vec<u8>>");
-        assert!(!find(&items, ItemKind::Static, "PLAIN").thread_local);
+        find(&items, ItemKind::Static, "GLOBAL");
+        find(&items, ItemKind::Const, "LIMIT");
+        find(&items, ItemKind::Static, "STACK");
+        find(&items, ItemKind::Static, "PLAIN");
     }
 
     #[test]

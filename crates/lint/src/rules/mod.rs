@@ -8,7 +8,6 @@
 
 use crate::lexer::{Tok, TokKind};
 
-pub mod arena_discipline;
 pub mod budget_reachability;
 pub mod error_taxonomy;
 pub mod fault_checkpoint_naming;
@@ -18,7 +17,6 @@ pub mod obs_span_naming;
 pub mod offline_guard;
 pub mod panic_freedom;
 pub mod registry_coherence;
-pub mod shared_state_screen;
 pub mod unsafe_audit;
 
 /// How severe a finding is. Every current rule is `Deny` (the binary
@@ -154,13 +152,6 @@ pub fn catalog() -> &'static [RuleMeta] {
             check: panic_freedom::check,
         },
         RuleMeta {
-            id: arena_discipline::ID,
-            severity: Severity::Deny,
-            summary: "every path through a function pairing SubArena mark/release must release on all early exits",
-            applies: applies_everywhere,
-            check: arena_discipline::check,
-        },
-        RuleMeta {
             id: unsafe_audit::ID,
             severity: Severity::Deny,
             summary: "every unsafe block/impl needs an immediately preceding `// SAFETY:` comment",
@@ -221,12 +212,6 @@ pub fn ws_catalog() -> &'static [WsRuleMeta] {
             severity: Severity::Deny,
             summary: "looping/recursive functions in refine/canon/core must reach the Budget machinery through the call graph",
             check: budget_reachability::check,
-        },
-        WsRuleMeta {
-            id: shared_state_screen::ID,
-            severity: Severity::Deny,
-            summary: "no static mut / Rc / RefCell / raw-pointer shared state reachable from the build/refine/canon hot path",
-            check: shared_state_screen::check,
         },
         WsRuleMeta {
             id: registry_coherence::ID,

@@ -18,25 +18,13 @@ fn lint_fixture(group: &str, name: &str, rel: &str) -> (Vec<&'static str>, usize
 }
 
 /// (fixture dir, rule id, rel path to lint under, findings expected in trip.rs)
-const CASES: [(&str, &str, &str, usize); 11] = [
+const CASES: [(&str, &str, &str, usize); 9] = [
     ("panic_freedom", "panic-freedom", "crates/core/src/fixture.rs", 6),
     (
         "budget_reachability",
         "budget-reachability",
         "crates/refine/src/partition.rs",
         2,
-    ),
-    (
-        "arena_discipline",
-        "arena-discipline",
-        "crates/core/src/fixture.rs",
-        2,
-    ),
-    (
-        "shared_state_screen",
-        "shared-state-screen",
-        "crates/core/src/build.rs",
-        4,
     ),
     (
         "registry_coherence",
@@ -96,7 +84,6 @@ fn clean_fixtures_record_their_suppressions() {
     for (group, rel, want) in [
         ("panic_freedom", "crates/core/src/fixture.rs", 1),
         ("budget_reachability", "crates/refine/src/partition.rs", 1),
-        ("arena_discipline", "crates/core/src/fixture.rs", 1),
         ("narrowing_cast", "crates/core/src/fixture.rs", 1),
     ] {
         let (_, suppressed) = lint_fixture(group, "clean.rs", rel);
@@ -135,18 +122,6 @@ fn budget_fixture_is_inert_outside_governed_crates() {
     // The same tripping source is fine in an ungoverned crate.
     let (rules, _) = lint_fixture("budget_reachability", "trip.rs", "crates/apps/src/other.rs");
     assert!(!rules.contains(&"budget-reachability"), "{rules:?}");
-}
-
-#[test]
-fn shared_state_fixture_is_inert_off_the_hot_path() {
-    // The Rc/raw-pointer functions are fine in a file no hot root
-    // reaches; the global statics are flagged everywhere.
-    let (rules, _) = lint_fixture("shared_state_screen", "trip.rs", "crates/apps/src/other.rs");
-    assert_eq!(
-        rules.iter().filter(|r| **r == "shared-state-screen").count(),
-        2,
-        "{rules:?}"
-    );
 }
 
 #[test]

@@ -9,8 +9,8 @@
 //! One splitter pass scatters neighbor counts over the splitter's
 //! adjacency lists, decides from per-cell aggregates of the *touched*
 //! members which cells split, and orders each splitting cell by
-//! `(count, vertex)` — with a degree-bucket radix split on large cells —
-//! before [`Partition::rewrite_split`] rewrites it.
+//! count — with a degree-bucket radix split on large cells — before
+//! [`Partition::rewrite_split`] rewrites it.
 
 use dvicl_govern::{Budget, DviclError};
 use dvicl_graph::{Coloring, Graph, V};
@@ -18,9 +18,8 @@ use dvicl_obs::{self as obs, Counter};
 use std::collections::VecDeque;
 
 /// Cells shorter than this are split with a comparison sort: the radix
-/// path's histogram (and, on non-ascending spans, its O(n/64)-word mask
-/// walk) only amortizes once the sort it replaces is superlinear in
-/// practice.
+/// path's histogram only amortizes once the sort it replaces is
+/// superlinear in practice.
 const RADIX_MIN_LEN: usize = 32;
 
 /// An ordered partition of `0..n` supporting splitter-based refinement.
@@ -60,10 +59,6 @@ pub struct Partition {
     touched_cnt: Vec<u32>,
     touched_min: Vec<u32>,
     touched_max: Vec<u32>,
-    // Scratch mask of one cell's members, `ceil(n / 64)` words; its
-    // set-bit walk enumerates them in ascending vertex id. Always left
-    // all-zero between splits.
-    cell_mask: Vec<u64>,
 }
 
 #[inline]
@@ -130,16 +125,14 @@ impl Partition {
         self.in_affected.clear();
         self.in_affected.resize(n, false);
         self.new_singletons.clear();
-        // The aggregate arrays and the mask at their resting state (no
-        // touched members recorded); every splitter pass restores it.
+        // The aggregate arrays at their resting state (no touched
+        // members recorded); every splitter pass restores it.
         self.touched_cnt.clear();
         self.touched_cnt.resize(n, 0);
         self.touched_min.clear();
         self.touched_min.resize(n, u32::MAX);
         self.touched_max.clear();
         self.touched_max.resize(n, 0);
-        self.cell_mask.clear();
-        self.cell_mask.resize(n.div_ceil(64), 0);
     }
 
     /// Number of vertices.
@@ -356,27 +349,19 @@ impl Partition {
 
     /// Splits the non-uniform cell `[c, c+len)` whose counts range over
     /// `[lo, hi]`, feeding [`Partition::rewrite_split`] its members
-    /// ordered ascending by `(count, vertex)`.
+    /// ordered by count.
     ///
     /// Large cells with a compact count range go through a degree-bucket
-    /// radix split (a stable counting sort); small cells, or counts too
-    /// spread for a histogram, take a comparison sort. The radix split's
-    /// stability must run over members in ascending vertex id to land in
-    /// `(count, vertex)` order: cell spans are almost always already
-    /// ascending (a [`Coloring`]'s cells are sorted, and every fragment
-    /// [`Partition::rewrite_split`] writes is ascending), so the gather
-    /// pass checks for that and places straight off the span; a
-    /// non-ascending span (left by an individualization swap) falls back
-    /// to the cell-membership mask walk, whose set-bit order restores
-    /// ascending ids. Returns the updated trace.
+    /// radix split (a counting sort straight off the span); small cells,
+    /// or counts too spread for a histogram, take a comparison sort.
+    /// Vertex order within a fragment is free: [`Partition::to_coloring`]
+    /// sorts every cell, and the trace, the Hopcroft fragment choice and
+    /// [`Partition::new_singletons`] depend only on fragment counts and
+    /// positions. Returns the updated trace.
     fn split_cell(&mut self, c: usize, len: usize, lo: u32, hi: u32, trace: u64) -> u64 {
-        let mut ascending = true;
-        let mut prev = 0 as V;
         self.members.clear();
         for i in c..c + len {
             let v = self.lab[i];
-            ascending &= i == c || v > prev;
-            prev = v;
             self.members.push((self.cnt[v as usize], v));
         }
         let spread = (hi - lo) as usize;
@@ -402,31 +387,10 @@ impl Partition {
         }
         self.sorted.clear();
         self.sorted.resize(len, (0, 0));
-        if ascending {
-            for &(cv, v) in &self.members {
-                let slot = self.hist[(cv - lo) as usize];
-                self.sorted[slot as usize] = (cv, v);
-                self.hist[(cv - lo) as usize] = slot + 1;
-            }
-        } else {
-            for &(_, v) in &self.members {
-                self.cell_mask[(v >> 6) as usize] |= 1u64 << (v & 63);
-            }
-            for w in 0..self.cell_mask.len() {
-                let mut bits = self.cell_mask[w];
-                // Clearing each word as it is read restores the mask's
-                // all-zero resting state without a second pass.
-                self.cell_mask[w] = 0;
-                while bits != 0 {
-                    // dvicl-lint: allow(narrowing-cast) -- w*64 + bit index < n <= V::MAX
-                    let v = ((w << 6) + bits.trailing_zeros() as usize) as V;
-                    bits &= bits - 1;
-                    let cv = self.cnt[v as usize];
-                    let slot = self.hist[(cv - lo) as usize];
-                    self.sorted[slot as usize] = (cv, v);
-                    self.hist[(cv - lo) as usize] = slot + 1;
-                }
-            }
+        for &(cv, v) in &self.members {
+            let slot = self.hist[(cv - lo) as usize];
+            self.sorted[slot as usize] = (cv, v);
+            self.hist[(cv - lo) as usize] = slot + 1;
         }
         obs::bump(Counter::RadixSplits);
         let sorted = std::mem::take(&mut self.sorted);
@@ -437,17 +401,18 @@ impl Partition {
 
     /// The rewrite half of one cell split: takes the cell at start `c`
     /// and its `members` as `(splitter-neighbor count, vertex)` pairs
-    /// sorted ascending, with at least two distinct counts, and performs
-    /// the split — Hopcroft's largest-fragment worklist exemption, the
-    /// span/pos/cell rewrite, singleton tracking, the per-fragment trace
-    /// mix and fragment enqueueing. Returns the updated trace.
+    /// with non-decreasing counts, at least two of them distinct, and
+    /// performs the split — Hopcroft's largest-fragment worklist
+    /// exemption, the span/pos/cell rewrite, singleton tracking, the
+    /// per-fragment trace mix and fragment enqueueing. Returns the
+    /// updated trace.
     // dvicl-lint: allow(budget-reachability) -- O(cell length) rewrite of one cell span; run() meters the worklist that drives it
     fn rewrite_split(&mut self, c: usize, members: &[(u32, V)], mut trace: u64) -> u64 {
         let len = members.len();
         debug_assert_eq!(len, self.cell_len[c] as usize);
         debug_assert!(
-            members.windows(2).all(|w| w[0] < w[1]),
-            "members must ascend by (count, vertex)"
+            members.windows(2).all(|w| w[0].0 <= w[1].0),
+            "member counts must not decrease"
         );
         debug_assert_ne!(
             members[0].0,

@@ -7,9 +7,8 @@
 //! sparse graphs with four colors take the comparison-sort split, dense
 //! graphs split on wide count ranges, near-monochrome graphs with cells
 //! of 64–140 vertices take the radix split, and many copies of one small
-//! graph keep cells of ≥33 vertices after refinement. Individualizing a
-//! mid-cell vertex of such a cell leaves a non-ascending span behind,
-//! which the radix split orders through its cell-mask walk.
+//! graph keep cells of ≥33 vertices after refinement, so the radix split
+//! also runs on the reordered spans an individualization leaves behind.
 
 use dvicl_graph::{Coloring, Graph, Perm, V};
 use dvicl_refine::{refine, refine_individualized};
