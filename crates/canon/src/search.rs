@@ -1,7 +1,7 @@
 //! The backtrack search over the individualization-refinement tree.
 
 use crate::tree::{NodeRecord, SearchTree};
-use dvicl_govern::{Budget, DviclError};
+use dvicl_govern::{Budget, DviclError, Site};
 use dvicl_obs::{self as obs, Counter};
 use dvicl_graph::{CanonForm, Coloring, Graph, Perm, V};
 use dvicl_group::Orbits;
@@ -408,7 +408,7 @@ impl<'a> Search<'a> {
         self.stats.nodes += 1;
         obs::bump(Counter::SearchNodes);
         self.stats.max_depth = self.stats.max_depth.max(depth);
-        dvicl_govern::fault::checkpoint("canon.dfs")?;
+        dvicl_govern::fault::checkpoint(Site::CanonDfs)?;
         self.budget.spend(1)?;
         let node_id = self.record_node(pi, depth, parent_edge);
         let d = depth as usize;

@@ -26,7 +26,7 @@
 //! interactively.
 
 use crate::{CliError, Globals};
-use dvicl_core::{DviclOptions, Session};
+use dvicl_core::Session;
 use dvicl_govern::{parse_duration, Budget, DviclError};
 use dvicl_graph::{graph6, io as gio, CanonForm, Fingerprint, Graph};
 use dvicl_index::FingerprintIndex;
@@ -116,10 +116,7 @@ impl Service {
         };
         // The same leaf configuration the other subcommands build with
         // (traces-like plus any --target-cell override).
-        let session = Session::new(DviclOptions {
-            leaf_config: gl.leaf_config(),
-            ..DviclOptions::default()
-        });
+        let session = Session::new(gl.options());
         Ok(Service {
             session,
             index,

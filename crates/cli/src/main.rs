@@ -69,15 +69,18 @@ pub(crate) struct Globals {
 }
 
 impl Globals {
-    /// The leaf IR configuration every build in the process uses:
-    /// traces-like (the robust configuration on regular graphs) with the
+    /// The build options every build in the process uses: traces-like
+    /// leaves (the robust configuration on regular graphs) with the
     /// `--target-cell` override applied.
-    pub(crate) fn leaf_config(&self) -> dvicl_canon::Config {
-        let mut cfg = dvicl_canon::Config::traces_like();
+    pub(crate) fn options(&self) -> DviclOptions {
+        let mut leaf_config = dvicl_canon::Config::traces_like();
         if let Some(tc) = self.target_cell {
-            cfg.target_cell = tc;
+            leaf_config.target_cell = tc;
         }
-        cfg
+        DviclOptions {
+            leaf_config,
+            ..DviclOptions::default()
+        }
     }
 }
 
@@ -401,11 +404,7 @@ fn load_text(text: &str) -> Result<Graph, DviclError> {
 }
 
 fn build(g: &Graph, gl: &Globals) -> Result<AutoTree, DviclError> {
-    let opts = DviclOptions {
-        leaf_config: gl.leaf_config(),
-        ..DviclOptions::default()
-    };
-    let outcome = build_autotree_resilient(g, &Coloring::unit(g.n()), &opts, &gl.budget)?;
+    let outcome = build_autotree_resilient(g, &Coloring::unit(g.n()), &gl.options(), &gl.budget)?;
     if outcome.degraded {
         eprintln!("note: node budget exhausted; degraded to whole-graph labeling");
     }
@@ -452,7 +451,7 @@ fn automorphisms(ld: &mut Loader, spec: &str, gl: &Globals) -> Result<(), CliErr
 
 fn isomorphic(ld: &mut Loader, a: &str, b: &str, gl: &Globals) -> Result<(), CliError> {
     let (ga, gb) = (ld.load(a)?, ld.load(b)?);
-    let outcome = iso::try_find_isomorphism_outcome(&ga, &gb, &gl.budget)?;
+    let outcome = iso::try_find_isomorphism(&ga, &gb, &gl.options(), &gl.budget)?;
     if outcome.degraded {
         // Same marker contract as `build`: a degraded answer is still
         // correct but the caller must be able to see it happened.

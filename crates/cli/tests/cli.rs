@@ -50,6 +50,52 @@ fn iso_distinguishes() {
     assert!(stdout.contains("mapping: "));
 }
 
+/// Parses cycle notation (`(1,7)(3,6,5)`, or `()`) into a permutation
+/// of `0..n`.
+fn parse_cycles(n: usize, text: &str) -> dvicl_graph::Perm {
+    let cycles: Vec<Vec<u32>> = text
+        .split(['(', ')'])
+        .filter(|c| !c.is_empty())
+        .map(|c| c.split(',').map(|v| v.parse().unwrap()).collect())
+        .collect();
+    let refs: Vec<&[u32]> = cycles.iter().map(Vec::as_slice).collect();
+    dvicl_graph::Perm::from_cycles(n, &refs).unwrap()
+}
+
+/// The text after `prefix` on the one stdout line that starts with it.
+fn line_after<'a>(stdout: &'a str, prefix: &str) -> &'a str {
+    stdout
+        .lines()
+        .find_map(|l| l.strip_prefix(prefix))
+        .unwrap_or_else(|| panic!("no `{prefix}` line in:\n{stdout}"))
+}
+
+#[test]
+fn iso_mapping_composes_the_canon_labelings() {
+    // `iso G H` must answer with λ_G·λ_H⁻¹ of the labelings `canon`
+    // prints under the same flags: same leaf configuration, same
+    // --target-cell.
+    let (g, h) = ("g6:HhCGGE@", "g6:H`GQ?UC");
+    for flags in [
+        &[][..],
+        &["--target-cell", "first"],
+        &["--target-cell", "largest"],
+        &["--target-cell", "most-constrained"],
+    ] {
+        let run = |args: &[&str]| {
+            let (stdout, stderr, ok) = dvicl(&[flags, args].concat());
+            assert!(ok, "{flags:?} {args:?}: {stderr}");
+            stdout
+        };
+        let lambda_g = parse_cycles(9, line_after(&run(&["canon", g]), "canonical labeling: "));
+        let lambda_h = parse_cycles(9, line_after(&run(&["canon", h]), "canonical labeling: "));
+        let iso = run(&["iso", g, h]);
+        assert_eq!(line_after(&iso, "isomorphic: "), "yes");
+        let expected = lambda_g.then(&lambda_h.inverse());
+        assert_eq!(line_after(&iso, "mapping: "), expected.to_string(), "{flags:?}");
+    }
+}
+
 #[test]
 fn tree_stats_and_render() {
     use dvicl_graph::{graph6, named};
@@ -342,6 +388,29 @@ fn fault_plan_env_var_is_honored() {
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn fault_plan_with_an_unknown_site_is_rejected() {
+    // A misspelled site would inject nothing; it is bad input (exit 2)
+    // whose message lists the valid sites, from the flag and the
+    // environment alike.
+    let flag = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+        .args(["canon", "--fault-plan", "trip@core.buildnode:1", "g6:IheA@GUAo"])
+        .output()
+        .expect("binary runs");
+    let env = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+        .args(["canon", "g6:IheA@GUAo"])
+        .env("DVICL_FAULT_PLAN", "trip@core.buildnode:1")
+        .output()
+        .expect("binary runs");
+    for out in [flag, env] {
+        assert_eq!(out.status.code(), Some(2));
+        assert!(out.stdout.is_empty());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown fault site 'core.buildnode'"), "got: {stderr}");
+        assert!(stderr.contains("core.build_node"), "got: {stderr}");
+    }
 }
 
 #[test]

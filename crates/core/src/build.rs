@@ -6,7 +6,7 @@ use crate::arena::SubArena;
 use crate::sub::{Division, Sub};
 use crate::tree::{AutoTree, Node, NodeId, NodeKind, PoolRange, EMPTY, NO_PARENT};
 use dvicl_canon::{try_canonical_form_with as ir_try_canonical_form_with, Config};
-use dvicl_govern::{Budget, DviclError, Resource};
+use dvicl_govern::{Budget, DviclError, Resource, Site};
 use dvicl_graph::{CanonForm, Coloring, FormRef, Graph, Perm, V};
 use dvicl_obs::{self as obs, Counter};
 use dvicl_refine::Refiner;
@@ -97,16 +97,7 @@ pub(crate) fn try_build_autotree_in(
     opts: &DviclOptions,
     budget: &Budget,
 ) -> Result<AutoTree, DviclError> {
-    if g.n() != pi0.n() {
-        return Err(DviclError::invalid(format!(
-            "graph has {} vertices but the coloring covers {}",
-            g.n(),
-            pi0.n()
-        )));
-    }
-    budget.check()?;
-    let pi = scratch.refiner.try_refine(g, pi0, budget)?.coloring;
-    run_build(scratch, g, pi, opts, budget, false)
+    run_build(scratch, g, pi0, opts, budget, false)
 }
 
 /// A built AutoTree together with how it was obtained.
@@ -193,6 +184,19 @@ pub(crate) fn build_autotree_whole_leaf_in(
     opts: &DviclOptions,
     budget: &Budget,
 ) -> Result<AutoTree, DviclError> {
+    run_build(scratch, g, pi0, opts, budget, true)
+}
+
+/// One build, from the root refinement of `pi0` to the finished tree,
+/// all inside the `core.build` span.
+fn run_build(
+    scratch: &mut Scratch,
+    g: &Graph,
+    pi0: &Coloring,
+    opts: &DviclOptions,
+    budget: &Budget,
+    force_leaf: bool,
+) -> Result<AutoTree, DviclError> {
     if g.n() != pi0.n() {
         return Err(DviclError::invalid(format!(
             "graph has {} vertices but the coloring covers {}",
@@ -201,19 +205,8 @@ pub(crate) fn build_autotree_whole_leaf_in(
         )));
     }
     budget.check()?;
-    let pi = scratch.refiner.try_refine(g, pi0, budget)?.coloring;
-    run_build(scratch, g, pi, opts, budget, true)
-}
-
-fn run_build(
-    scratch: &mut Scratch,
-    g: &Graph,
-    pi: Coloring,
-    opts: &DviclOptions,
-    budget: &Budget,
-    force_leaf: bool,
-) -> Result<AutoTree, DviclError> {
     let _span = obs::span("core.build");
+    let pi = scratch.refiner.try_refine(g, pi0, budget)?.coloring;
     // One build = one arena epoch: empty segments (buffers keep their
     // capacity from earlier builds) and fresh peak/reuse stats, so the
     // `sub_bytes_peak` / `arena_reuses` counters below stay per-build
@@ -425,7 +418,7 @@ struct Builder<'a> {
 impl<'a> Builder<'a> {
     /// Procedure `cl` of Algorithm 1.
     fn build(&mut self, sub: Sub, depth: u32, parent: u32) -> Result<NodeId, DviclError> {
-        dvicl_govern::fault::checkpoint("core.build_node")?;
+        dvicl_govern::fault::checkpoint(Site::CoreBuildNode)?;
         self.budget.spend(1)?;
         let id = self.t.nodes.len();
         let vrange = push_range(&mut self.t.verts, self.scratch.arena.verts(&sub));
@@ -506,7 +499,7 @@ impl<'a> Builder<'a> {
         let mut children: Vec<NodeId> = Vec::with_capacity(d.len());
         for i in 0..d.len() {
             let mark = self.scratch.arena.mark();
-            let cid = dvicl_govern::fault::checkpoint("core.arena_carve")
+            let cid = dvicl_govern::fault::checkpoint(Site::CoreArenaCarve)
                 .and_then(|()| self.scratch.arena.try_induced_child(sub, d.part(i)))
                 .and_then(|child| self.build(child, depth + 1, parent_id));
             self.scratch.arena.release(mark);
@@ -521,7 +514,7 @@ impl<'a> Builder<'a> {
     /// (Lemma 6.7).
     fn combine_cl(&mut self, id: NodeId, sub: &Sub) -> Result<(), DviclError> {
         let _span = obs::span("core.leaf_ir");
-        dvicl_govern::fault::checkpoint("core.leaf_ir")?;
+        dvicl_govern::fault::checkpoint(Site::CoreLeafIr)?;
         let (local_g, local_pi) = self.scratch.arena.to_local_graph(sub, self.pi);
         let colors: Vec<V> = self
             .scratch

@@ -25,20 +25,11 @@ pub fn find_isomorphism_colored(
     g2: &Graph,
     pi2: &Coloring,
 ) -> Option<Perm> {
-    if g1.n() != g2.n() || g1.m() != g2.m() {
-        return None;
-    }
     let opts = DviclOptions::default();
-    let t1 = build_autotree(g1, pi1, &opts);
-    let t2 = build_autotree(g2, pi2, &opts);
-    if t1.canonical_form() != t2.canonical_form() {
-        return None;
-    }
-    // λ₁ maps g1 onto the canonical graph, λ₂ maps g2 onto the same one:
-    // γ = λ₁ ∘ λ₂⁻¹ maps g1 onto g2.
-    let gamma = t1.canonical_labeling().then(&t2.canonical_labeling().inverse());
-    debug_assert_eq!(g1.permuted(&gamma), *g2, "composed labeling must realize the isomorphism");
-    Some(gamma)
+    try_find_isomorphism_colored(g1, pi1, g2, pi2, &opts, &Budget::unlimited())
+        // dvicl-lint: allow(panic-freedom) -- Budget::unlimited() never exhausts, so only a graph/coloring size mismatch fails, the caller bug build_autotree also panics on
+        .expect("graph/coloring size mismatch")
+        .mapping
 }
 
 /// The result of a budgeted isomorphism extraction: the mapping (if the
@@ -54,50 +45,35 @@ pub struct IsoOutcome {
     pub degraded: bool,
 }
 
-/// Budgeted [`find_isomorphism`] with graceful degradation (see
-/// [`crate::try_are_isomorphic`]): a work-cap exhaustion degrades both
-/// sides to whole-graph IR labeling instead of failing, so the mapping —
-/// composed from two labelings produced in the *same* mode — stays valid.
+/// Budgeted [`find_isomorphism`] with graceful degradation: a work-cap
+/// exhaustion degrades both sides to whole-graph IR labeling instead of
+/// failing, so the mapping — composed from two labelings produced in the
+/// *same* mode — stays valid. `opts` is the build configuration of both
+/// sides, so the mapping is `λ₁ ∘ λ₂⁻¹` of the labelings a
+/// [`build_autotree_resilient`] under the same `opts` reports.
 pub fn try_find_isomorphism(
     g1: &Graph,
     g2: &Graph,
-    budget: &Budget,
-) -> Result<Option<Perm>, DviclError> {
-    Ok(try_find_isomorphism_outcome(g1, g2, budget)?.mapping)
-}
-
-/// [`try_find_isomorphism`] with the degradation flag exposed.
-pub fn try_find_isomorphism_outcome(
-    g1: &Graph,
-    g2: &Graph,
+    opts: &DviclOptions,
     budget: &Budget,
 ) -> Result<IsoOutcome, DviclError> {
-    try_find_isomorphism_colored_outcome(
+    try_find_isomorphism_colored(
         g1,
         &Coloring::unit(g1.n()),
         g2,
         &Coloring::unit(g2.n()),
+        opts,
         budget,
     )
 }
 
-/// Budgeted [`find_isomorphism_colored`].
+/// Budgeted [`find_isomorphism_colored`]; see [`try_find_isomorphism`].
 pub fn try_find_isomorphism_colored(
     g1: &Graph,
     pi1: &Coloring,
     g2: &Graph,
     pi2: &Coloring,
-    budget: &Budget,
-) -> Result<Option<Perm>, DviclError> {
-    Ok(try_find_isomorphism_colored_outcome(g1, pi1, g2, pi2, budget)?.mapping)
-}
-
-/// [`try_find_isomorphism_colored`] with the degradation flag exposed.
-pub fn try_find_isomorphism_colored_outcome(
-    g1: &Graph,
-    pi1: &Coloring,
-    g2: &Graph,
-    pi2: &Coloring,
+    opts: &DviclOptions,
     budget: &Budget,
 ) -> Result<IsoOutcome, DviclError> {
     if g1.n() != g2.n() || g1.m() != g2.m() {
@@ -106,21 +82,20 @@ pub fn try_find_isomorphism_colored_outcome(
             degraded: false,
         });
     }
-    let opts = DviclOptions::default();
-    let mut t1 = build_autotree_resilient(g1, pi1, &opts, budget)?;
-    let mut t2 = build_autotree_resilient(g2, pi2, &opts, budget)?;
+    let mut t1 = build_autotree_resilient(g1, pi1, opts, budget)?;
+    let mut t2 = build_autotree_resilient(g2, pi2, opts, budget)?;
     if t1.degraded != t2.degraded {
         // Certificates from a divided tree and a whole-graph leaf are not
         // comparable; rebuild the non-degraded side in degraded mode.
         let relaxed = budget.without_work_limit();
         if t1.degraded {
             t2 = BuildOutcome {
-                tree: build_autotree_whole_leaf(g2, pi2, &opts, &relaxed)?,
+                tree: build_autotree_whole_leaf(g2, pi2, opts, &relaxed)?,
                 degraded: true,
             };
         } else {
             t1 = BuildOutcome {
-                tree: build_autotree_whole_leaf(g1, pi1, &opts, &relaxed)?,
+                tree: build_autotree_whole_leaf(g1, pi1, opts, &relaxed)?,
                 degraded: true,
             };
         }
@@ -132,6 +107,8 @@ pub fn try_find_isomorphism_colored_outcome(
             degraded,
         });
     }
+    // λ₁ maps g1 onto the canonical graph, λ₂ maps g2 onto the same one:
+    // γ = λ₁ ∘ λ₂⁻¹ maps g1 onto g2.
     let gamma = t1
         .tree
         .canonical_labeling()
@@ -194,8 +171,10 @@ mod tests {
         let gamma = Perm::from_cycles(10, &[&[0, 7], &[2, 4, 9]]).unwrap();
         let h = g.permuted(&gamma);
         let tight = Budget::with_max_work(2);
-        let found = try_find_isomorphism(&g, &h, &tight)
+        let opts = DviclOptions::default();
+        let found = try_find_isomorphism(&g, &h, &opts, &tight)
             .expect("work exhaustion must degrade, not fail")
+            .mapping
             .expect("isomorphic by construction");
         assert_eq!(g.permuted(&found), h);
         // A non-isomorphic pair with the same vertex and edge counts (the
@@ -208,23 +187,22 @@ mod tests {
                 (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
             ],
         );
-        assert_eq!(
-            try_find_isomorphism(&g, &ladder, &Budget::with_max_work(2)).unwrap(),
-            None
-        );
+        let out = try_find_isomorphism(&g, &ladder, &opts, &Budget::with_max_work(2)).unwrap();
+        assert_eq!(out.mapping, None);
     }
 
     #[test]
     fn outcome_exposes_the_degradation_flag() {
         let g = named::petersen();
         let h = g.permuted(&Perm::from_cycles(10, &[&[0, 7]]).unwrap());
-        let out = try_find_isomorphism_outcome(&g, &h, &Budget::with_max_work(2)).unwrap();
+        let opts = DviclOptions::default();
+        let out = try_find_isomorphism(&g, &h, &opts, &Budget::with_max_work(2)).unwrap();
         assert!(out.degraded);
         assert!(out.mapping.is_some());
-        let out = try_find_isomorphism_outcome(&g, &h, &Budget::unlimited()).unwrap();
+        let out = try_find_isomorphism(&g, &h, &opts, &Budget::unlimited()).unwrap();
         assert!(!out.degraded);
         // A size mismatch is answered without building anything.
-        let out = try_find_isomorphism_outcome(&g, &named::cycle(5), &Budget::unlimited()).unwrap();
+        let out = try_find_isomorphism(&g, &named::cycle(5), &opts, &Budget::unlimited()).unwrap();
         assert!(!out.degraded);
         assert!(out.mapping.is_none());
     }

@@ -84,34 +84,9 @@ pub fn are_isomorphic_colored(g1: &Graph, pi1: &Coloring, g2: &Graph, pi2: &Colo
 
 /// Budgeted [`are_isomorphic`] with graceful degradation: when the
 /// divide-and-conquer builds exhaust the budget's work cap, both sides
-/// fall back to whole-graph IR labeling. A degraded (single-leaf)
-/// certificate is not comparable with a divided-tree certificate of the
-/// same graph, so if only one side degrades the other is rebuilt in
-/// degraded mode too — the answer stays correct under any work budget.
+/// are labeled as whole-graph IR leaves, so the answer stays correct
+/// under any work budget (see [`iso::try_find_isomorphism`]).
 pub fn try_are_isomorphic(g1: &Graph, g2: &Graph, budget: &Budget) -> Result<bool, DviclError> {
-    if g1.n() != g2.n() || g1.m() != g2.m() {
-        return Ok(false);
-    }
-    let opts = DviclOptions::default();
-    let unit1 = Coloring::unit(g1.n());
-    let unit2 = Coloring::unit(g2.n());
-    let mut t1 = build_autotree_resilient(g1, &unit1, &opts, budget)?;
-    let mut t2 = build_autotree_resilient(g2, &unit2, &opts, budget)?;
-    if t1.degraded != t2.degraded {
-        // Rebuild the non-degraded side as a whole-graph leaf so the
-        // certificates are comparable (same labeling mode on both sides).
-        let relaxed = budget.without_work_limit();
-        if t1.degraded {
-            t2 = BuildOutcome {
-                tree: build_autotree_whole_leaf(g2, &unit2, &opts, &relaxed)?,
-                degraded: true,
-            };
-        } else {
-            t1 = BuildOutcome {
-                tree: build_autotree_whole_leaf(g1, &unit1, &opts, &relaxed)?,
-                degraded: true,
-            };
-        }
-    }
-    Ok(t1.tree.canonical_form() == t2.tree.canonical_form())
+    let outcome = iso::try_find_isomorphism(g1, g2, &DviclOptions::default(), budget)?;
+    Ok(outcome.mapping.is_some())
 }

@@ -25,7 +25,7 @@
 
 use crate::tree::{AutoTree, NodeId, NodeKind};
 use dvicl_canon::{try_canonical_form as ir_try_canonical_form, Config};
-use dvicl_govern::{Budget, DviclError};
+use dvicl_govern::{Budget, DviclError, Site};
 use dvicl_graph::{Coloring, GraphBuilder, V};
 use dvicl_group::BigUint;
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -227,7 +227,7 @@ fn analyze(
     builder: &mut GraphBuilder,
 ) -> Result<(Vec<u8>, BigUint), DviclError> {
     dvicl_obs::bump(dvicl_obs::Counter::SsmStates);
-    dvicl_govern::fault::checkpoint("core.ssm")?;
+    dvicl_govern::fault::checkpoint(Site::CoreSsm)?;
     gov.spend(1)?;
     let n = tree.node(node);
     match n.kind() {
@@ -468,7 +468,7 @@ fn enum_at(
     builder: &mut GraphBuilder,
 ) -> Result<Vec<Vec<V>>, DviclError> {
     dvicl_obs::bump(dvicl_obs::Counter::SsmStates);
-    dvicl_govern::fault::checkpoint("core.ssm")?;
+    dvicl_govern::fault::checkpoint(Site::CoreSsm)?;
     gov.spend(1)?;
     if *slots == 0 {
         return Ok(Vec::new());

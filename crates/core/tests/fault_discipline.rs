@@ -20,7 +20,7 @@
 use dvicl_core::{
     build_autotree_resilient, try_build_autotree, verify, DviclOptions, Sub, SubArena,
 };
-use dvicl_govern::fault::{self, FaultPlan};
+use dvicl_govern::fault::{self, FaultPlan, Site};
 use dvicl_govern::{Budget, DviclError, FaultAction};
 use dvicl_graph::{Coloring, Graph, V};
 use proptest::prelude::*;
@@ -108,11 +108,11 @@ proptest! {
     ) {
         let _serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let sites = [
-            "core.build_node",
-            "core.arena_carve",
-            "core.leaf_ir",
-            "refine.refine",
-            "govern.spend",
+            Site::CoreBuildNode,
+            Site::CoreArenaCarve,
+            Site::CoreLeafIr,
+            Site::RefineRefine,
+            Site::GovernSpend,
         ];
         let opts = DviclOptions::default();
         let pi = Coloring::unit(g.n());

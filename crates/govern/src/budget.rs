@@ -151,7 +151,7 @@ impl Budget {
     /// atomic load.
     #[inline]
     pub fn spend(&self, n: u64) -> Result<(), DviclError> {
-        crate::fault::checkpoint("govern.spend")?;
+        crate::fault::checkpoint(crate::Site::GovernSpend)?;
         if self.inner.cancel.is_cancelled() {
             report_trip("cancelled", self.work_spent());
             return Err(DviclError::Cancelled);

@@ -24,7 +24,7 @@
 //! DESIGN.md §9.
 //!
 //! The [`fault`] module adds deterministic fault injection on top:
-//! named [`fault::checkpoint`]s throughout the pipeline are free until
+//! [`fault::checkpoint`]s at the [`Site`]s of the pipeline are free until
 //! a [`FaultPlan`] is installed, after which the plan injects typed
 //! errors at exact checkpoint ordinals — the machinery behind the
 //! fault-sweep harness and the `DVICL_FAULT_PLAN` / `--fault-plan`
@@ -38,7 +38,7 @@ pub mod fault;
 
 pub use budget::{Budget, CancelToken, STRIDE};
 pub use error::{DviclError, ParseError, ParseErrorKind, Resource};
-pub use fault::{FaultAction, FaultArm, FaultPlan};
+pub use fault::{FaultAction, FaultArm, FaultPlan, Site};
 
 /// The installed fault plan and its checkpoint hit counts are
 /// process-global, and `cargo test` runs a crate's tests on parallel

@@ -10,7 +10,7 @@
 //! recoverable condition, not a crash.
 
 use crate::{Graph, GraphBuilder, V};
-use dvicl_govern::{DviclError, ParseError, ParseErrorKind};
+use dvicl_govern::{DviclError, ParseError, ParseErrorKind, Site};
 use rustc_hash::FxHashMap;
 use std::io::{self, BufRead, BufWriter, Read, Write};
 use std::num::IntErrorKind;
@@ -53,7 +53,7 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<LoadedGraph, DviclError> {
             continue;
         }
         saw_data = true;
-        dvicl_govern::fault::checkpoint("graph.edge_line")?;
+        dvicl_govern::fault::checkpoint(Site::GraphEdgeLine)?;
         let mut it = line.split_whitespace();
         let a = parse_vertex(it.next(), line, lineno)?;
         let b = parse_vertex(it.next(), line, lineno)?;

@@ -34,7 +34,7 @@
 //! header-bomb guard the graph6 reader uses.
 
 use crate::{FingerprintIndex, IsoClass};
-use dvicl_govern::{fault, DviclError, ParseError, ParseErrorKind};
+use dvicl_govern::{fault, DviclError, ParseError, ParseErrorKind, Site};
 use dvicl_graph::{CanonForm, Fingerprint, V};
 use dvicl_obs::{self as obs, Counter};
 use std::io::{Read, Write};
@@ -173,7 +173,7 @@ impl FingerprintIndex {
     /// do not enter service.
     pub fn load_from(r: &mut impl Read, paranoid: bool) -> Result<FingerprintIndex, DviclError> {
         let _span = obs::span("index.load");
-        fault::checkpoint("index.load")?;
+        fault::checkpoint(Site::IndexLoad)?;
         let mut buf = Vec::new();
         r.read_to_end(&mut buf)
             .map_err(|e| DviclError::invalid(format!("cannot read index: {e}")))?;

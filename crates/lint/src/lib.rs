@@ -13,7 +13,7 @@
 //! ([`callgraph::CallGraph`]) over all files. Per-file rules from
 //! [`rules::catalog`] see one file; workspace rules from
 //! [`rules::ws_catalog`] see the whole [`Workspace`] (call-graph
-//! reachability, cross-file registries). Findings inside
+//! reachability). Findings inside
 //! `#[cfg(test)]` items are dropped, then `// dvicl-lint: allow(...)
 //! -- reason` pragmas are applied per owning file. See DESIGN.md §8
 //! for the rule catalog and the suppression policy, §12 for the
@@ -469,20 +469,14 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError> {
     Ok(())
 }
 
-/// Analyzes every workspace source under `root` into a [`Workspace`]
-/// (the entry point for the self-check tests and the report tooling).
-pub fn analyze_workspace(root: &Path) -> Result<Workspace, LintError> {
+/// Lints every workspace source under `root`.
+pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
     let files = workspace_files(root)?;
     let mut sources = Vec::with_capacity(files.len());
     for path in &files {
         sources.push((rel_of(root, path), read_source(path)?));
     }
-    Ok(Workspace::analyze(sources))
-}
-
-/// Lints every workspace source under `root`.
-pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
-    Ok(analyze_workspace(root)?.lint())
+    Ok(Workspace::analyze(sources).lint())
 }
 
 /// Lints explicit files (together, as one workspace). `rel_override`,

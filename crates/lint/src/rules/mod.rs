@@ -10,13 +10,11 @@ use crate::lexer::{Tok, TokKind};
 
 pub mod budget_reachability;
 pub mod error_taxonomy;
-pub mod fault_checkpoint_naming;
 pub mod narrowing_cast;
 pub mod nested_vec_adjacency;
 pub mod obs_span_naming;
 pub mod offline_guard;
 pub mod panic_freedom;
-pub mod registry_coherence;
 pub mod unsafe_audit;
 
 /// How severe a finding is. Every current rule is `Deny` (the binary
@@ -193,13 +191,6 @@ pub fn catalog() -> &'static [RuleMeta] {
             applies: applies_everywhere,
             check: obs_span_naming::check,
         },
-        RuleMeta {
-            id: fault_checkpoint_naming::ID,
-            severity: Severity::Deny,
-            summary: "fault checkpoint sites must be crate.place dot-paths with a known crate prefix",
-            applies: applies_everywhere,
-            check: fault_checkpoint_naming::check,
-        },
     ]
 }
 
@@ -212,12 +203,6 @@ pub fn ws_catalog() -> &'static [WsRuleMeta] {
             severity: Severity::Deny,
             summary: "looping/recursive functions in refine/canon/core must reach the Budget machinery through the call graph",
             check: budget_reachability::check,
-        },
-        WsRuleMeta {
-            id: registry_coherence::ID,
-            severity: Severity::Deny,
-            summary: "fault checkpoint sites and obs counters must stay coherent with their registries",
-            check: registry_coherence::check,
         },
     ]
 }

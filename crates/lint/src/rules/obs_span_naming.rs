@@ -14,9 +14,8 @@ use crate::lexer::TokKind;
 pub const ID: &str = "obs-span-naming";
 
 /// First-segment vocabulary: the workspace's crate short names (plus
-/// `dvicl` for the root crate). Kept in one place so adding a crate is
-/// a one-line change.
-pub const KNOWN_PREFIXES: [&str; 14] = [
+/// `dvicl` for the root crate).
+const KNOWN_PREFIXES: [&str; 14] = [
     "graph", "govern", "group", "refine", "canon", "core", "apps", "data", "cli", "bench",
     "lint", "obs", "index", "dvicl",
 ];

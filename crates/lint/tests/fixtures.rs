@@ -18,18 +18,12 @@ fn lint_fixture(group: &str, name: &str, rel: &str) -> (Vec<&'static str>, usize
 }
 
 /// (fixture dir, rule id, rel path to lint under, findings expected in trip.rs)
-const CASES: [(&str, &str, &str, usize); 9] = [
+const CASES: [(&str, &str, &str, usize); 7] = [
     ("panic_freedom", "panic-freedom", "crates/core/src/fixture.rs", 6),
     (
         "budget_reachability",
         "budget-reachability",
         "crates/refine/src/partition.rs",
-        2,
-    ),
-    (
-        "registry_coherence",
-        "registry-coherence",
-        "crates/core/src/fixture.rs",
         2,
     ),
     ("unsafe_audit", "unsafe-audit", "crates/core/src/fixture.rs", 2),
@@ -46,12 +40,6 @@ const CASES: [(&str, &str, &str, usize); 9] = [
         "obs-span-naming",
         "crates/core/src/fixture.rs",
         5,
-    ),
-    (
-        "fault_checkpoint_naming",
-        "fault-checkpoint-naming",
-        "crates/core/src/fixture.rs",
-        6,
     ),
 ];
 

@@ -2,149 +2,111 @@
 //!
 //! Counters are deliberately a closed enum rather than a string-keyed
 //! registry: every bump is an index into a static array of relaxed
-//! atomics (no hashing, no locking, no allocation), and the catalog in
-//! DESIGN.md §9 stays the single source of truth for what exists.
+//! atomics (no hashing, no locking, no allocation). The enum, its
+//! reporting order and its names come from one `counters!` table below;
+//! DESIGN.md §9 documents what each counter measures.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One process-wide work counter. The catalog (name, unit, where it is
-/// incremented) is documented in DESIGN.md §9; the variant order is the
-/// reporting order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
+/// Declares [`Counter`], [`NUM_COUNTERS`], [`Counter::ALL`] and
+/// [`Counter::name`] from one table of `Variant => "snake_case"` rows,
+/// so the catalog cannot drift apart from its reporting order or names.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
+        /// One process-wide work counter. The catalog (name, unit, where
+        /// it is incremented) is documented in DESIGN.md §9; the variant
+        /// order is the reporting order.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum Counter {
+            $($(#[$doc])* $variant,)*
+        }
+
+        /// How many counters exist (the length of [`Counter::ALL`]).
+        pub const NUM_COUNTERS: usize = [$(Counter::$variant),*].len();
+
+        impl Counter {
+            /// Every counter, in reporting order.
+            pub const ALL: [Counter; NUM_COUNTERS] = [$(Counter::$variant),*];
+
+            /// The counter's stable snake_case name, as it appears in
+            /// `--stats` reports and `BENCH_*.json` records.
+            ///
+            /// ```
+            /// assert_eq!(dvicl_obs::Counter::SearchNodes.name(), "search_nodes");
+            /// ```
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// Refinement splitters processed (`refine::Partition::run`).
-    RefineRounds,
+    RefineRounds => "refine_rounds",
     /// IR search-tree nodes visited (`canon::Search::dfs`).
-    SearchNodes,
+    SearchNodes => "search_nodes",
     /// IR search-tree leaves reached (`canon::Search::visit_leaf`).
-    SearchLeaves,
+    SearchLeaves => "search_leaves",
     /// Subtrees pruned by the node invariant, `P_A`/`P_B` (`canon`).
-    PrunedInvariant,
+    PrunedInvariant => "pruned_invariant",
     /// Branches skipped by discovered automorphisms, `P_C` (`canon`).
-    PrunedOrbit,
+    PrunedOrbit => "pruned_orbit",
     /// Non-trivial automorphism generators recorded (`canon`).
-    AutFound,
+    AutFound => "aut_found",
     /// Component divisions applied (`core::SubArena::divide_components`).
-    DivideComponents,
+    DivideComponents => "divide_components",
     /// `DivideI` divisions applied (`core::SubArena::divide_i`).
-    DivideIApplied,
+    DivideIApplied => "divide_i_applied",
     /// `DivideS` divisions applied (`core::SubArena::divide_s`).
-    DivideSApplied,
+    DivideSApplied => "divide_s_applied",
     /// Edges deleted by applied `DivideS` divisions (`core::SubArena`).
-    DivideSEdgesDeleted,
+    DivideSEdgesDeleted => "divide_s_edges_deleted",
     /// Structural-equivalence twin classes collapsed
     /// (`core::simplify::dvicl_simplified`).
-    TwinClassesCollapsed,
+    TwinClassesCollapsed => "twin_classes_collapsed",
     /// `CombineCL` leaf-labeling results served from the builder's
     /// cache (`core::build`).
-    CacheClHits,
+    CacheClHits => "cache_cl_hits",
     /// `CombineCL` leaf labelings computed fresh (`core::build`).
-    CacheClMisses,
+    CacheClMisses => "cache_cl_misses",
     /// High-water mark of subgraph-arena pool bytes, summed over builds
     /// (`core::SubArena`): each DviCL run adds its own peak, so a
     /// snapshot diff around one build reads as that build's peak.
-    SubBytesPeak,
+    SubBytesPeak => "sub_bytes_peak",
     /// Subgraph-arena segment releases that handed buffer space back for
     /// reuse by a later child (`core::SubArena`).
-    ArenaReuses,
+    ArenaReuses => "arena_reuses",
     /// SSM matcher states expanded (`core::ssm`).
-    SsmStates,
+    SsmStates => "ssm_states",
     /// Budget exhaustion / cancellation trips (`govern::Budget`).
-    BudgetTrips,
+    BudgetTrips => "budget_trips",
     /// Witness checks performed by the paranoid verifier (`core::verify`).
-    VerifyChecks,
+    VerifyChecks => "verify_checks",
     /// Witness checks that failed — always zero on a healthy build
     /// (`core::verify`).
-    VerifyFailures,
+    VerifyFailures => "verify_failures",
     /// Faults injected by an installed `govern::FaultPlan`.
-    FaultInjections,
+    FaultInjections => "fault_injections",
     /// Fingerprint-index probes: every `insert`/`lookup`/`groupsize`
     /// that consulted the fingerprint map (`dvicl-index`).
-    IndexProbes,
+    IndexProbes => "index_probes",
     /// Index probes whose fingerprint bucket held an exact
     /// stored-form match (`dvicl-index`).
-    IndexHits,
+    IndexHits => "index_hits",
     /// Index probes that compared against a stored form with the same
     /// fingerprint and found it *unequal* — the 2⁻¹²⁸ hash-collision
     /// path, resolved by the exact check (`dvicl-index`).
-    IndexCollisions,
+    IndexCollisions => "index_collisions",
     /// Builds served by a `core::Session` that reused its arena pools
     /// and CombineCL memo from an earlier build (`core::Session`).
-    SessionArenaReuses,
+    SessionArenaReuses => "session_arena_reuses",
     /// Cell splits realized by the degree-bucket radix (counting) sort
     /// instead of a comparison sort (`refine::Partition`).
-    RadixSplits,
-}
-
-/// How many counters exist (the length of [`Counter::ALL`]).
-pub const NUM_COUNTERS: usize = 25;
-
-impl Counter {
-    /// Every counter, in reporting order.
-    pub const ALL: [Counter; NUM_COUNTERS] = [
-        Counter::RefineRounds,
-        Counter::SearchNodes,
-        Counter::SearchLeaves,
-        Counter::PrunedInvariant,
-        Counter::PrunedOrbit,
-        Counter::AutFound,
-        Counter::DivideComponents,
-        Counter::DivideIApplied,
-        Counter::DivideSApplied,
-        Counter::DivideSEdgesDeleted,
-        Counter::TwinClassesCollapsed,
-        Counter::CacheClHits,
-        Counter::CacheClMisses,
-        Counter::SubBytesPeak,
-        Counter::ArenaReuses,
-        Counter::SsmStates,
-        Counter::BudgetTrips,
-        Counter::VerifyChecks,
-        Counter::VerifyFailures,
-        Counter::FaultInjections,
-        Counter::IndexProbes,
-        Counter::IndexHits,
-        Counter::IndexCollisions,
-        Counter::SessionArenaReuses,
-        Counter::RadixSplits,
-    ];
-
-    /// The counter's stable snake_case name, as it appears in
-    /// `--stats` reports and `BENCH_*.json` records.
-    ///
-    /// ```
-    /// assert_eq!(dvicl_obs::Counter::SearchNodes.name(), "search_nodes");
-    /// ```
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::RefineRounds => "refine_rounds",
-            Counter::SearchNodes => "search_nodes",
-            Counter::SearchLeaves => "search_leaves",
-            Counter::PrunedInvariant => "pruned_invariant",
-            Counter::PrunedOrbit => "pruned_orbit",
-            Counter::AutFound => "aut_found",
-            Counter::DivideComponents => "divide_components",
-            Counter::DivideIApplied => "divide_i_applied",
-            Counter::DivideSApplied => "divide_s_applied",
-            Counter::DivideSEdgesDeleted => "divide_s_edges_deleted",
-            Counter::TwinClassesCollapsed => "twin_classes_collapsed",
-            Counter::CacheClHits => "cache_cl_hits",
-            Counter::CacheClMisses => "cache_cl_misses",
-            Counter::SubBytesPeak => "sub_bytes_peak",
-            Counter::ArenaReuses => "arena_reuses",
-            Counter::SsmStates => "ssm_states",
-            Counter::BudgetTrips => "budget_trips",
-            Counter::VerifyChecks => "verify_checks",
-            Counter::VerifyFailures => "verify_failures",
-            Counter::FaultInjections => "fault_injections",
-            Counter::IndexProbes => "index_probes",
-            Counter::IndexHits => "index_hits",
-            Counter::IndexCollisions => "index_collisions",
-            Counter::SessionArenaReuses => "session_arena_reuses",
-            Counter::RadixSplits => "radix_splits",
-        }
-    }
+    RadixSplits => "radix_splits",
 }
 
 static COUNTERS: [AtomicU64; NUM_COUNTERS] = [const { AtomicU64::new(0) }; NUM_COUNTERS];

@@ -15,7 +15,7 @@
 
 #![warn(missing_docs)]
 
-use dvicl_govern::{Budget, DviclError};
+use dvicl_govern::{Budget, DviclError, Site};
 use dvicl_graph::{Coloring, Graph, V};
 
 mod partition;
@@ -93,7 +93,7 @@ impl Refiner {
         budget: &Budget,
     ) -> Result<RefineResult, DviclError> {
         let _span = dvicl_obs::span("refine.refine");
-        dvicl_govern::fault::checkpoint("refine.refine")?;
+        dvicl_govern::fault::checkpoint(Site::RefineRefine)?;
         self.p.reset_from_coloring(g.n(), pi);
         let trace = self.p.try_refine(g, budget)?;
         Ok(self.result(trace))
@@ -108,7 +108,7 @@ impl Refiner {
         budget: &Budget,
     ) -> Result<RefineResult, DviclError> {
         let _span = dvicl_obs::span("refine.individualize");
-        dvicl_govern::fault::checkpoint("refine.individualize")?;
+        dvicl_govern::fault::checkpoint(Site::RefineIndividualize)?;
         self.p.reset_from_coloring(g.n(), pi);
         let trace = self.p.try_individualize_and_refine(g, v, budget)?;
         Ok(self.result(trace))

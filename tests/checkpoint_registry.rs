@@ -1,68 +1,27 @@
-//! Self-check: the checkpoint registry, the static analyzer, and a
-//! dynamic probe must agree on the set of fault-injection sites.
+//! Self-check: every declared checkpoint site is reached by the
+//! pipeline.
 //!
-//! Three views of "every checkpoint in the pipeline":
-//!
-//! 1. **Declared** — `govern::fault::CHECKPOINT_SITES`, the registry
-//!    the fault-plan docs and DESIGN.md §11 point at.
-//! 2. **Written** — the `fault::checkpoint("…")` call sites
-//!    `dvicl-lint`'s item parser extracts from the workspace source
-//!    (the same extraction the registry-coherence rule cross-checks
-//!    in CI).
-//! 3. **Executed** — the sites a probe-mode run actually hits when the
-//!    pipeline is driven end to end: edge-list parsing, graph6
-//!    decoding, a divided AutoTree build (which exercises refinement,
-//!    individualization, arena carves, leaf IR, DFS search, and the
-//!    budget), a symmetric-subgraph-matching query, and a fingerprint
-//!    index insert + DVIX1 round trip.
-//!
-//! If someone adds a checkpoint without registering it, view 2 drifts
-//! from view 1 (also a lint failure). If a registered site becomes
-//! unreachable — dead code, a refactor that skips it — view 3 drifts
-//! from view 1, which no purely static check can catch. This test is
-//! its own binary because the fault plan is process-global.
+//! `govern::fault::Site` declares the sites, and `fault::checkpoint`
+//! accepts nothing else, so a site that code passes is always declared.
+//! The converse — a declared site that no code path reaches any more
+//! (dead code, a refactor that skips it) — is what this test catches: a
+//! fault plan aimed at such a site injects nothing. A probe-mode run
+//! drives the pipeline end to end — edge-list parsing, graph6 decoding,
+//! a divided AutoTree build (which exercises refinement,
+//! individualization, arena carves, leaf IR, DFS search, and the
+//! budget), a symmetric-subgraph-matching query, and a fingerprint
+//! index insert + DVIX1 round trip — and the sites it hits must be
+//! exactly `Site::ALL`. This test is its own binary because the fault
+//! plan is process-global.
 
 use dvicl::core::ssm::{symmetric_key, SsmIndex};
 use dvicl::core::{build_autotree, DviclOptions};
-use dvicl::govern::fault::{self, FaultPlan, CHECKPOINT_SITES};
+use dvicl::govern::fault::{self, FaultPlan, Site};
 use dvicl::graph::{graph6, io, Coloring, Fingerprint};
 use dvicl::index::FingerprintIndex;
-use std::collections::BTreeSet;
 
 #[test]
-fn registry_analyzer_and_probe_agree() {
-    // The registry itself: sorted and duplicate-free, so diffs against
-    // it are stable.
-    let registry: BTreeSet<&str> = CHECKPOINT_SITES.iter().copied().collect();
-    assert_eq!(
-        registry.len(),
-        CHECKPOINT_SITES.len(),
-        "CHECKPOINT_SITES contains duplicates"
-    );
-    let mut sorted = CHECKPOINT_SITES.to_vec();
-    sorted.sort_unstable();
-    assert_eq!(
-        sorted.as_slice(),
-        &CHECKPOINT_SITES[..],
-        "CHECKPOINT_SITES must stay sorted"
-    );
-
-    // View 2: the analyzer's extraction of non-test checkpoint call
-    // sites across the whole workspace.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let ws = dvicl_lint::analyze_workspace(root).expect("analyze the workspace");
-    let written: BTreeSet<String> =
-        dvicl_lint::rules::registry_coherence::used_checkpoint_sites(&ws)
-            .into_iter()
-            .map(|u| u.site)
-            .collect();
-    let written_refs: BTreeSet<&str> = written.iter().map(String::as_str).collect();
-    assert_eq!(
-        written_refs, registry,
-        "analyzer-extracted checkpoint sites diverge from CHECKPOINT_SITES"
-    );
-
-    // View 3: a probe-mode run across every checkpoint surface.
+fn registry_and_probe_agree() {
     fault::install(FaultPlan::probe());
 
     // graph.edge_line + a graph with enough symmetry to exercise
@@ -109,14 +68,10 @@ fn registry_analyzer_and_probe_agree() {
 
     let hits = fault::hit_counts();
     fault::clear();
-    let executed: BTreeSet<&str> = hits
-        .iter()
-        .filter(|&&(_, count)| count > 0)
-        .map(|&(site, _)| site)
-        .collect();
+    let executed: Vec<Site> = hits.iter().map(|&(site, _)| site).collect();
     assert_eq!(
-        executed, registry,
-        "probe-executed checkpoint sites diverge from CHECKPOINT_SITES \
-         (hit counts: {hits:?})"
+        executed,
+        Site::ALL,
+        "probe-executed checkpoint sites diverge from Site::ALL (hit counts: {hits:?})"
     );
 }

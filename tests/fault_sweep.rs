@@ -27,7 +27,7 @@
 //! corpus and asserts the ≥100-injection-point floor.
 
 use dvicl::core::{build_autotree_resilient, verify, DviclOptions};
-use dvicl::govern::fault::{self, FaultPlan};
+use dvicl::govern::fault::{self, FaultPlan, Site};
 use dvicl::govern::{Budget, FaultAction};
 use dvicl::graph::{Coloring, Graph};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -85,18 +85,15 @@ fn sweep_injects_faults_at_every_checkpoint() {
         fault::clear();
         let reference = g.permuted(&probe.tree.canonical_labeling());
 
-        let mut plan_points: Vec<(&'static str, u64, FaultAction)> = Vec::new();
+        let mut plan_points: Vec<(Site, u64, FaultAction)> = Vec::new();
         for &(site, count) in &hits {
-            if count == 0 {
-                continue;
-            }
             let mid = count / 2 + 1;
             // Earliest trip (deepest degradation), cancellation at the
             // start / middle / end of the site's life, one allocation
             // ceiling in the middle. Trip points force a whole-graph
             // fallback rebuild — the expensive case — so quick mode
             // keeps exactly one of them.
-            if full_sweep() || site == "core.build_node" {
+            if full_sweep() || site == Site::CoreBuildNode {
                 plan_points.push((site, 1, FaultAction::Trip));
             }
             let mut ks = vec![1, mid, count];
