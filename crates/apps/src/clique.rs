@@ -17,7 +17,7 @@ pub fn max_clique(g: &Graph) -> Vec<V> {
 /// clique is NP-hard, so unbounded runtime is the default, not the
 /// exception.
 pub fn try_max_clique(g: &Graph, budget: &Budget) -> Result<Vec<V>, DviclError> {
-    let _span = dvicl_obs::span("apps.clique");
+    let _span = dvicl_obs::span(dvicl_obs::Phase::AppsClique);
     budget.check()?;
     let n = g.n();
     if n == 0 {
@@ -152,7 +152,7 @@ pub fn try_all_max_cliques(
     limit: usize,
     budget: &Budget,
 ) -> Result<Vec<Vec<V>>, DviclError> {
-    let _span = dvicl_obs::span("apps.clique");
+    let _span = dvicl_obs::span(dvicl_obs::Phase::AppsClique);
     budget.check()?;
     let mut out = Vec::new();
     let order = degeneracy_order(g);

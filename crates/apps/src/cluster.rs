@@ -50,7 +50,7 @@ pub fn try_cluster_by_symmetry<S: AsRef<[V]>>(
     sets: impl IntoIterator<Item = S>,
     budget: &Budget,
 ) -> Result<Clustering, DviclError> {
-    let _span = dvicl_obs::span("apps.cluster");
+    let _span = dvicl_obs::span(dvicl_obs::Phase::AppsCluster);
     budget.check()?;
     let mut by_key: FxHashMap<Vec<u8>, usize> = FxHashMap::default();
     let mut total = 0usize;

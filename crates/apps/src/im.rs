@@ -48,7 +48,7 @@ pub fn try_spread(
     cfg: &IcConfig,
     budget: &Budget,
 ) -> Result<f64, DviclError> {
-    let _span = dvicl_obs::span("apps.im");
+    let _span = dvicl_obs::span(dvicl_obs::Phase::AppsIm);
     budget.check()?;
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let n = g.n();
@@ -123,7 +123,7 @@ pub fn try_select_seeds_pruned(
     max_candidates: usize,
     budget: &Budget,
 ) -> Result<Vec<V>, DviclError> {
-    let _span = dvicl_obs::span("apps.im");
+    let _span = dvicl_obs::span(dvicl_obs::Phase::AppsIm);
     budget.check()?;
     let n = g.n();
     if n == 0 || k == 0 {

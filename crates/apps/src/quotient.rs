@@ -25,7 +25,7 @@ pub struct Quotient {
 
 /// Builds the quotient of `g` from its AutoTree.
 pub fn quotient(g: &Graph, tree: &AutoTree) -> Quotient {
-    let _span = dvicl_obs::span("apps.quotient");
+    let _span = dvicl_obs::span(dvicl_obs::Phase::AppsQuotient);
     let n = g.n();
     let mut orbits = aut::orbits(tree);
     let cells = orbits.cells();

@@ -17,7 +17,7 @@ pub fn count_triangles(g: &Graph) -> u64 {
 /// Budgeted [`count_triangles`]: spends one work unit per oriented edge
 /// whose out-neighborhoods are intersected.
 pub fn try_count_triangles(g: &Graph, budget: &Budget) -> Result<u64, DviclError> {
-    let _span = dvicl_obs::span("apps.triangles");
+    let _span = dvicl_obs::span(dvicl_obs::Phase::AppsTriangles);
     let mut count = 0u64;
     try_for_each_triangle(g, budget, |_, _, _| {
         count += 1;
@@ -42,7 +42,7 @@ pub fn try_list_triangles(
     limit: usize,
     budget: &Budget,
 ) -> Result<Vec<[V; 3]>, DviclError> {
-    let _span = dvicl_obs::span("apps.triangles");
+    let _span = dvicl_obs::span(dvicl_obs::Phase::AppsTriangles);
     let mut out = Vec::new();
     try_for_each_triangle(g, budget, |a, b, c| {
         out.push([a, b, c]);

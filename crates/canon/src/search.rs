@@ -2,7 +2,7 @@
 
 use crate::tree::{NodeRecord, SearchTree};
 use dvicl_govern::{Budget, DviclError, Site};
-use dvicl_obs::{self as obs, Counter};
+use dvicl_obs::{self as obs, Counter, Phase};
 use dvicl_graph::{CanonForm, Coloring, Graph, Perm, V};
 use dvicl_group::Orbits;
 use dvicl_refine::Refiner;
@@ -307,7 +307,7 @@ pub fn try_canonical_form_with(
     // An already-expired deadline or a pre-cancelled token must fail even
     // on graphs small enough to finish inside the first clock stride.
     budget.check()?;
-    let _span = obs::span("canon.search");
+    let _span = obs::span(Phase::CanonSearch);
     let mut s = Search {
         g,
         pi0: pi,

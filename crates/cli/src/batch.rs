@@ -24,13 +24,16 @@
 //! `batch` drains a query file (or stdin) and exits; `serve` flushes
 //! after every response so a driving process can speak the protocol
 //! interactively.
+//! A consumer that closes stdout ends either service like the end of
+//! input does: no further request is read, `--save` still writes the
+//! index and the summary still goes to stderr.
 
 use crate::{CliError, Globals};
 use dvicl_core::Session;
 use dvicl_govern::{parse_duration, Budget, DviclError};
 use dvicl_graph::{graph6, io as gio, CanonForm, Fingerprint, Graph};
 use dvicl_index::FingerprintIndex;
-use dvicl_obs as obs;
+use dvicl_obs::{self as obs, Phase};
 use std::io::{BufRead, Write};
 use std::path::Path;
 use std::time::Duration;
@@ -128,6 +131,7 @@ impl Service {
 
     /// Parses an inline graph spec: `g6:<literal>` or `el:u-v,...`.
     fn parse_graph(spec: &str) -> Result<Graph, DviclError> {
+        let _span = obs::span(Phase::GraphLoad);
         if let Some(g6) = spec.strip_prefix("g6:") {
             return graph6::from_graph6(g6);
         }
@@ -220,18 +224,9 @@ impl Service {
     }
 }
 
-/// Writes one response line, treating a closed pipe as a normal end of
-/// service (same contract as the `outln!` macro).
-fn respond_line(out: &mut impl Write, line: &str) {
-    if writeln!(out, "{line}").is_err() {
-        std::process::exit(0);
-    }
-}
-
 /// `dvicl batch [FLAGS] [QUERIES]` — drain a query file (stdin when
 /// absent) and exit.
 pub(crate) fn batch(args: &[String], gl: &Globals) -> Result<(), CliError> {
-    let _span = obs::span("cli.batch");
     let opts = ServiceOpts::parse(args, true)?;
     let mut service = Service::new(&opts, gl)?;
     let text = match opts.input.as_deref() {
@@ -248,12 +243,13 @@ pub(crate) fn batch(args: &[String], gl: &Globals) -> Result<(), CliError> {
     let mut out = std::io::BufWriter::new(stdout.lock());
     for line in text.lines() {
         if let Some(answer) = service.respond(line, &opts.request_budget()) {
-            respond_line(&mut out, &answer);
+            if writeln!(out, "{answer}").is_err() {
+                break;
+            }
         }
     }
-    if out.flush().is_err() {
-        std::process::exit(0);
-    }
+    // A flush error is a closed stdout too: the service ends cleanly.
+    let _ = out.flush();
     drop(out);
     service.finish(&opts)?;
     Ok(())
@@ -262,7 +258,6 @@ pub(crate) fn batch(args: &[String], gl: &Globals) -> Result<(), CliError> {
 /// `dvicl serve [FLAGS]` — answer stdin line by line, flushing per
 /// response, until `quit` or end of input.
 pub(crate) fn serve(args: &[String], gl: &Globals) -> Result<(), CliError> {
-    let _span = obs::span("cli.serve");
     let opts = ServiceOpts::parse(args, false)?;
     let mut service = Service::new(&opts, gl)?;
     let stdin = std::io::stdin();
@@ -274,9 +269,11 @@ pub(crate) fn serve(args: &[String], gl: &Globals) -> Result<(), CliError> {
             break;
         }
         if let Some(answer) = service.respond(&line, &opts.request_budget()) {
-            respond_line(&mut out, &answer);
-            if out.flush().is_err() {
-                std::process::exit(0);
+            if writeln!(out, "{answer}")
+                .and_then(|()| out.flush())
+                .is_err()
+            {
+                break;
             }
         }
     }

@@ -28,7 +28,9 @@
 //! Observability (DESIGN.md §9): `--stats` prints the counter and
 //! phase-time report to stderr after the run; `--trace-json <path>`
 //! streams newline-delimited JSON events plus a final summary object to
-//! `path`. Either flag also enables span timing.
+//! `path`. Either flag also enables span timing. The whole subcommand
+//! runs under one root phase, `cli.run`, so the report's self-times add
+//! up to its total.
 //!
 //! Robustness (DESIGN.md §11): `--paranoid` re-checks every result
 //! against its witness (canonical form against the root labeling, each
@@ -50,6 +52,7 @@ use dvicl_core::ssm::{try_count_images, try_enumerate_images, SsmIndex};
 use dvicl_core::{aut, build_autotree_resilient, iso, ksym, AutoTree, DviclOptions};
 use dvicl_govern::{parse_duration, Budget, DviclError};
 use dvicl_graph::{graph6, io as gio, Coloring, Graph, V};
+use dvicl_obs::Phase;
 use std::io::Read;
 use std::process::ExitCode;
 
@@ -84,15 +87,13 @@ impl Globals {
     }
 }
 
-/// Writes a line to stdout, exiting quietly with status 0 when the
-/// consumer closed the pipe early — `dvicl aut G | head` is a normal
-/// way to use the tool, not a panic.
+/// Writes a line to stdout. When the consumer closed the pipe early the
+/// enclosing subcommand returns [`CliError::StdoutClosed`] — `dvicl aut
+/// G | head` is a normal way to use the tool, not a panic.
 macro_rules! outln {
     ($($arg:tt)*) => {{
         use std::io::Write as _;
-        if writeln!(std::io::stdout(), $($arg)*).is_err() {
-            std::process::exit(0);
-        }
+        writeln!(std::io::stdout(), $($arg)*).map_err(|_| CliError::StdoutClosed)?
     }};
 }
 
@@ -100,21 +101,21 @@ macro_rules! outln {
 macro_rules! out {
     ($($arg:tt)*) => {{
         use std::io::Write as _;
-        if write!(std::io::stdout(), $($arg)*).is_err() {
-            std::process::exit(0);
-        }
+        write!(std::io::stdout(), $($arg)*).map_err(|_| CliError::StdoutClosed)?
     }};
 }
 
 /// Streams `g` as an edge list to stdout. A consumer closing the pipe
-/// early ends the program quietly (status 0); other I/O errors map into
-/// the typed taxonomy.
-fn emit_edge_list(g: &Graph) -> Result<(), DviclError> {
-    match gio::write_edge_list(std::io::stdout(), g) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
-        Err(e) => Err(DviclError::invalid(format!("writing edge list: {e}"))),
-    }
+/// early is [`CliError::StdoutClosed`]; other I/O errors map into the
+/// typed taxonomy.
+fn emit_edge_list(g: &Graph) -> Result<(), CliError> {
+    gio::write_edge_list(std::io::stdout(), g).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            CliError::StdoutClosed
+        } else {
+            DviclError::invalid(format!("writing edge list: {e}")).into()
+        }
+    })
 }
 
 fn main() -> ExitCode {
@@ -136,8 +137,14 @@ fn main() -> ExitCode {
         eprintln!("error: {e}");
         return ExitCode::from(e.exit_code());
     }
-    let code = match run(&args, &globals) {
-        Ok(()) => ExitCode::SUCCESS,
+    // The root span: every phase the run opens nests inside it, so the
+    // report's self-times add up to its total.
+    let result = {
+        let _run = dvicl_obs::span(Phase::CliRun);
+        run(&args, &globals)
+    };
+    let code = match result {
+        Ok(()) | Err(CliError::StdoutClosed) => ExitCode::SUCCESS,
         Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
@@ -190,11 +197,13 @@ fn usage() -> &'static str {
     "usage:\n  dvicl canon    <GRAPH>\n  dvicl aut      <GRAPH>\n  dvicl iso      <GRAPH> <GRAPH>\n  dvicl tree     <GRAPH> [--render]\n  dvicl ssm      <GRAPH> <v,v,...> [--limit N]\n  dvicl ksym     <GRAPH> <k>\n  dvicl quotient <GRAPH>\n  dvicl dataset  <NAME>\n  dvicl convert  <GRAPH>\n  dvicl batch    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N] [QUERIES]\n  dvicl serve    [--index P] [--save P] [--req-timeout D] [--req-max-nodes N]\n\nGRAPH: edge-list path, '-' for stdin (at most once), or g6:<graph6-literal>\nQUERIES: lines of `insert|lookup|groupsize g6:<literal>|el:u-v,u-v,...`\n\nglobal flags (any subcommand):\n  --timeout <DUR>      wall-clock budget (100ms, 5s, 2m, ...)\n  --max-nodes <N>      work budget in search/build nodes\n  --target-cell <T>    IR target cell: first|smallest|largest|most-constrained\n  --stats              counter + phase-time report on stderr\n  --trace-json <PATH>  NDJSON events + summary to PATH\n  --paranoid           re-check every result against its witness\n  --fault-plan <SPEC>  deterministic fault injection (see DESIGN.md §11)\n\nexit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 witness check failed"
 }
 
-/// A CLI failure: either a usage mistake (print the help text, exit 2)
-/// or a typed library error (exit via [`DviclError::exit_code`]).
+/// How a subcommand ends early: a usage mistake (print the help text,
+/// exit 2), a typed library error (exit via [`DviclError::exit_code`]),
+/// or a consumer that closed stdout (exit 0, like a completed run).
 enum CliError {
     Usage(String),
     Lib(DviclError),
+    StdoutClosed,
 }
 
 impl From<DviclError> for CliError {
@@ -366,6 +375,7 @@ struct Loader {
 
 impl Loader {
     fn load(&mut self, spec: &str) -> Result<Graph, DviclError> {
+        let _span = dvicl_obs::span(Phase::GraphLoad);
         if let Some(g6) = spec.strip_prefix("g6:") {
             return graph6::from_graph6(g6);
         }
@@ -420,6 +430,7 @@ fn build(g: &Graph, gl: &Globals) -> Result<AutoTree, DviclError> {
 fn canon(ld: &mut Loader, spec: &str, gl: &Globals) -> Result<(), CliError> {
     let g = ld.load(spec)?;
     let tree = build(&g, gl)?;
+    let _span = dvicl_obs::span(Phase::GraphEmit);
     let labeling = tree.canonical_labeling();
     let canonical = g.permuted(&labeling);
     outln!("n: {}  m: {}", g.n(), g.m());
@@ -431,14 +442,22 @@ fn canon(ld: &mut Loader, spec: &str, gl: &Globals) -> Result<(), CliError> {
 fn automorphisms(ld: &mut Loader, spec: &str, gl: &Globals) -> Result<(), CliError> {
     let g = ld.load(spec)?;
     let tree = build(&g, gl)?;
-    outln!("|Aut(G)| = {}", aut::group_order(&tree));
-    let mut orbits = aut::orbits(&tree);
-    outln!(
-        "orbits: {} ({} singletons)",
-        orbits.count(),
-        orbits.count_singletons()
-    );
-    let gens = aut::generators(&tree);
+    let order = {
+        let _span = dvicl_obs::span(Phase::GroupOrder);
+        aut::group_order(&tree)
+    };
+    let (orbits, singletons) = {
+        let _span = dvicl_obs::span(Phase::CoreOrbits);
+        let mut orbits = aut::orbits(&tree);
+        (orbits.count(), orbits.count_singletons())
+    };
+    let gens = {
+        let _span = dvicl_obs::span(Phase::CoreGenerators);
+        aut::generators(&tree)
+    };
+    let _span = dvicl_obs::span(Phase::GraphEmit);
+    outln!("|Aut(G)| = {order}");
+    outln!("orbits: {orbits} ({singletons} singletons)");
     outln!("generators ({}):", gens.len());
     for gen in gens.iter().take(50) {
         outln!("  {gen}");
@@ -539,8 +558,7 @@ fn ksym_cmd(ld: &mut Loader, spec: &str, k: &str, gl: &Globals) -> Result<(), Cl
         "k={k}: +{} vertices, +{} edges ({} classes duplicated)",
         stats.added_vertices, stats.added_edges, stats.duplicated_classes
     );
-    emit_edge_list(&g2)?;
-    Ok(())
+    emit_edge_list(&g2)
 }
 
 fn quotient_cmd(ld: &mut Loader, spec: &str, gl: &Globals) -> Result<(), CliError> {
@@ -565,7 +583,7 @@ fn dataset(name: &str) -> Result<(), CliError> {
     for d in all {
         if d.name.eq_ignore_ascii_case(name) {
             let g = (d.build)();
-            return emit_edge_list(&g).map_err(CliError::from);
+            return emit_edge_list(&g);
         }
     }
     Err(DviclError::invalid(format!(
@@ -584,8 +602,7 @@ fn convert(ld: &mut Loader, spec: &str, budget: &Budget) -> Result<(), CliError>
     budget.check()?;
     let g = ld.load(spec)?;
     if spec.starts_with("g6:") {
-        emit_edge_list(&g)?;
-        Ok(())
+        emit_edge_list(&g)
     } else {
         outln!("{}", graph6::to_graph6(&g));
         Ok(())

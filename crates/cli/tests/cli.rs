@@ -600,3 +600,134 @@ fn batch_fault_injection_covers_the_index_checkpoints() {
     );
     assert_eq!(code, Some(3), "stderr: {stderr}");
 }
+
+/// The `(label, calls, total_ms, self_ms)` phase rows of the final
+/// summary line in a `--trace-json` file.
+fn trace_phases(path: &TempPath) -> Vec<(String, u64, f64, f64)> {
+    let text = std::fs::read_to_string(&path.0).unwrap();
+    let summary = text
+        .lines()
+        .last()
+        .filter(|l| l.starts_with(r#"{"type":"summary""#))
+        .unwrap_or_else(|| panic!("no final summary line: {text:?}"));
+    let rows = summary.split(r#""phases":["#).nth(1).unwrap();
+    let rows = &rows[..rows.find(']').unwrap()];
+    rows.split("},{")
+        .filter(|r| !r.is_empty())
+        .map(|row| {
+            let field = |key: &str| {
+                let rest = row.split(&format!("\"{key}\":")).nth(1).unwrap();
+                rest.split([',', '}'])
+                    .next()
+                    .unwrap()
+                    .trim_matches('"')
+                    .to_string()
+            };
+            let num = |key: &str| field(key).parse::<f64>().unwrap();
+            (
+                field("label"),
+                field("calls").parse().unwrap(),
+                num("total_ms"),
+                num("self_ms"),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn a_whole_run_decomposes_under_one_cli_run_span() {
+    // (args, stdin, exit code): every subcommand shape, a budget trip and
+    // a parse error — a failed run keeps its phase rows too.
+    let petersen = "g6:IheA@GUAo";
+    let cases: [(&[&str], &str, i32); 7] = [
+        (&["canon", petersen], "", 0),
+        (&["aut", petersen], "", 0),
+        (&["iso", petersen, petersen], "", 0),
+        (&["tree", petersen, "--render"], "", 0),
+        (
+            &["batch"],
+            "insert g6:IheA@GUAo\nlookup el:0-1,1-2,2-0\n",
+            0,
+        ),
+        (&["--timeout", "0ms", "canon", "g6:Bw"], "", 3),
+        (&["canon", "g6:C"], "", 2),
+    ];
+    for (i, (args, input, want)) in cases.into_iter().enumerate() {
+        let trace = TempPath::new(&format!("whole-run-{i}"));
+        let mut full = vec!["--trace-json", trace.as_str()];
+        full.extend_from_slice(args);
+        let (_, stderr, code) = dvicl_stdin(&full, input);
+        assert_eq!(code, Some(want), "{args:?}: {stderr}");
+        let rows = trace_phases(&trace);
+        let runs: Vec<_> = rows.iter().filter(|r| r.0 == "cli.run").collect();
+        assert!(
+            runs.len() == 1 && runs[0].1 == 1,
+            "{args:?}: one cli.run span: {rows:?}"
+        );
+        assert!(
+            rows.iter().any(|r| r.0 == "graph.load"),
+            "{args:?}: {rows:?}"
+        );
+        // In integer nanoseconds Σ self equals the root's total exactly;
+        // 1 ns of slack covers the conversion to f64 milliseconds, so
+        // even an empty span outside `cli.run` shows.
+        let total = runs[0].2;
+        let self_sum: f64 = rows.iter().map(|r| r.3).sum();
+        assert!(
+            (self_sum - total).abs() <= 1e-6,
+            "{args:?}: Σ self {self_sum} ms vs cli.run total {total} ms: {rows:?}"
+        );
+    }
+}
+
+#[test]
+fn a_closed_stdout_still_delivers_the_trace_summary() {
+    // The Gnutella edge list (~100 KB) overflows the 64 KiB pipe buffer,
+    // so a write fails however the timing falls.
+    let trace = TempPath::new("closed-trace");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+        .args(["--trace-json", trace.as_str(), "dataset", "Gnutella"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    drop(child.stdout.take());
+    assert_eq!(child.wait().unwrap().code(), Some(0));
+    let rows = trace_phases(&trace);
+    assert!(
+        rows.iter().any(|r| r.0 == "cli.run" && r.1 == 1),
+        "{rows:?}"
+    );
+}
+
+#[test]
+fn batch_saves_its_index_when_stdout_closes_early() {
+    // 3,000 responses (~90 KB) overflow the pipe buffer: the service
+    // stops reading requests, then still saves and summarizes.
+    let queries = TempPath::new("closed-queries");
+    std::fs::write(&queries.0, "insert g6:IheA@GUAo\n".repeat(3000)).unwrap();
+    let index = TempPath::new("closed-index");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dvicl"))
+        .args(["batch", "--save", index.as_str(), queries.as_str()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let served: u64 = stderr
+        .split("served ")
+        .nth(1)
+        .and_then(|s| s.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no summary line: {stderr}"));
+    assert!((1..3000).contains(&served), "stderr: {stderr}");
+    // Every request served was inserted, and the saved index holds them.
+    let (stdout, stderr, code) = dvicl_stdin(
+        &["serve", "--index", index.as_str()],
+        "groupsize g6:IheA@GUAo\n",
+    );
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert_eq!(stdout.trim(), format!("groupsize: {served}"));
+}

@@ -8,7 +8,7 @@ use crate::tree::{AutoTree, Node, NodeId, NodeKind, PoolRange, EMPTY, NO_PARENT}
 use dvicl_canon::{try_canonical_form_with as ir_try_canonical_form_with, Config};
 use dvicl_govern::{Budget, DviclError, Resource, Site};
 use dvicl_graph::{CanonForm, Coloring, FormRef, Graph, Perm, V};
-use dvicl_obs::{self as obs, Counter};
+use dvicl_obs::{self as obs, Counter, Phase};
 use dvicl_refine::Refiner;
 use rustc_hash::FxHashMap;
 
@@ -205,7 +205,7 @@ fn run_build(
         )));
     }
     budget.check()?;
-    let _span = obs::span("core.build");
+    let _span = obs::span(Phase::CoreBuild);
     let pi = scratch.refiner.try_refine(g, pi0, budget)?.coloring;
     // One build = one arena epoch: empty segments (buffers keep their
     // capacity from earlier builds) and fresh peak/reuse stats, so the
@@ -454,7 +454,7 @@ impl<'a> Builder<'a> {
         let division = if self.force_leaf {
             None
         } else {
-            let _span = obs::span("core.divide");
+            let _span = obs::span(Phase::CoreDivide);
             self.scratch
                 .arena
                 .divide_components(&sub)
@@ -513,7 +513,7 @@ impl<'a> Builder<'a> {
     /// order so symmetric leaves elsewhere in the tree get equal labels
     /// (Lemma 6.7).
     fn combine_cl(&mut self, id: NodeId, sub: &Sub) -> Result<(), DviclError> {
-        let _span = obs::span("core.leaf_ir");
+        let _span = obs::span(Phase::CoreLeafIr);
         dvicl_govern::fault::checkpoint(Site::CoreLeafIr)?;
         let (local_g, local_pi) = self.scratch.arena.to_local_graph(sub, self.pi);
         let colors: Vec<V> = self
@@ -607,7 +607,7 @@ impl<'a> Builder<'a> {
     /// vertices of each (global) cell by (child position, child label);
     /// the rank within the cell gives `γ_g(v) = π(v) + rank`.
     fn combine_st(&mut self, id: NodeId, sub: &Sub, mut children: Vec<NodeId>) {
-        let _span = obs::span("core.combine");
+        let _span = obs::span(Phase::CoreCombine);
         // Line 1: non-descending certificate order.
         children.sort_by(|&a, &b| self.t.form_of(a).cmp(&self.t.form_of(b)));
         // Runs of equal certificates = classes of symmetric siblings.

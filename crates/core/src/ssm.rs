@@ -176,7 +176,7 @@ pub fn try_count_images(
     set: &[V],
     budget: &Budget,
 ) -> Result<BigUint, DviclError> {
-    let _span = dvicl_obs::span("core.ssm");
+    let _span = dvicl_obs::span(dvicl_obs::Phase::CoreSsm);
     let set = validate_set(tree, set)?;
     Ok(analyze(tree, index, tree.root(), &set, budget, &mut GraphBuilder::new(0))?.1)
 }
@@ -441,7 +441,7 @@ pub fn try_enumerate_images(
     limit: usize,
     budget: &Budget,
 ) -> Result<SsmMatches, DviclError> {
-    let _span = dvicl_obs::span("core.ssm");
+    let _span = dvicl_obs::span(dvicl_obs::Phase::CoreSsm);
     let set = validate_set(tree, set)?;
     let mut builder = GraphBuilder::new(0);
     let mut slots = limit;

@@ -37,7 +37,7 @@
 use crate::tree::{AutoTree, NodeKind};
 use dvicl_govern::DviclError;
 use dvicl_graph::{CanonForm, Coloring, Graph, Perm, V};
-use dvicl_obs::{self as obs, Counter};
+use dvicl_obs::{self as obs, Counter, Phase};
 
 /// Bumps the failure counter and builds the typed error. `#[cold]`: the
 /// verifier's hot path is the all-checks-pass path.
@@ -215,7 +215,7 @@ pub fn verify_generators(g: &Graph, tree: &AutoTree) -> Result<(), DviclError> {
 /// [`verify_generators`]. This is what `--paranoid` runs after each
 /// build, degraded or not.
 pub fn verify_tree(g: &Graph, tree: &AutoTree) -> Result<(), DviclError> {
-    let _span = obs::span("core.verify");
+    let _span = obs::span(Phase::CoreVerify);
     verify_root_form(g, tree)?;
     verify_generators(g, tree)
 }
@@ -223,7 +223,7 @@ pub fn verify_tree(g: &Graph, tree: &AutoTree) -> Result<(), DviclError> {
 /// Verifies a claimed isomorphism mapping: `γ` must be a bijection on
 /// `0..n` with `g1^γ = g2` edge-for-edge. O(n + m log Δ).
 pub fn verify_iso(g1: &Graph, g2: &Graph, gamma: &Perm) -> Result<(), DviclError> {
-    let _span = obs::span("core.verify");
+    let _span = obs::span(Phase::CoreVerify);
     if g1.n() != g2.n() || gamma.len() != g1.n() {
         return Err(fail(
             "iso_mapping",

@@ -34,64 +34,43 @@ use crate::error::{DviclError, ParseError, ParseErrorKind, Resource};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError, RwLock};
 
-/// Declares [`Site`] from one table of `Variant => "crate.place"` rows,
-/// so the enum, [`Site::ALL`] and [`Site::name`] cannot drift apart.
-macro_rules! sites {
-    ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
-        /// A fault-injection checkpoint: one named place in the pipeline
-        /// where an installed [`FaultPlan`] may inject a typed error.
-        /// [`checkpoint`] takes only a `Site`, so every site that code
-        /// passes is declared here.
-        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-        pub enum Site {
-            $($(#[$doc])* $variant,)*
-        }
-
-        impl Site {
-            /// Every site, in name order.
-            pub const ALL: &'static [Site] = &[$(Site::$variant),*];
-
-            /// The site's `crate.place` name, as plan specs and
-            /// `fault_injected` events spell it.
-            ///
-            /// ```
-            /// assert_eq!(dvicl_govern::Site::CoreBuildNode.name(), "core.build_node");
-            /// ```
-            pub fn name(self) -> &'static str {
-                match self {
-                    $(Site::$variant => $name,)*
-                }
-            }
-        }
-    };
-}
-
-sites! {
-    /// Each IR search-tree node (`canon::Search::dfs`).
-    CanonDfs => "canon.dfs",
-    /// Each child-subgraph carve (`core::SubArena::try_induced_child`,
-    /// where the `alloc` ceiling also lives).
-    CoreArenaCarve => "core.arena_carve",
-    /// Each AutoTree build recursion step.
-    CoreBuildNode => "core.build_node",
-    /// Each non-singleton leaf labeling (CombineCL).
-    CoreLeafIr => "core.leaf_ir",
-    /// SSM analysis and enumeration entry.
-    CoreSsm => "core.ssm",
-    /// Every `Budget::spend`, i.e. all governed loops.
-    GovernSpend => "govern.spend",
-    /// Each data line of the edge-list parser.
-    GraphEdgeLine => "graph.edge_line",
-    /// Each graph6 decode.
-    GraphGraph6 => "graph.graph6",
-    /// Each fingerprint-index ingestion.
-    IndexInsert => "index.insert",
-    /// Each DVIX1 record read.
-    IndexLoad => "index.load",
-    /// Each budgeted refinement after an individualization.
-    RefineIndividualize => "refine.individualize",
-    /// Each budgeted refinement of an input coloring.
-    RefineRefine => "refine.refine",
+dvicl_obs::catalog! {
+    /// A fault-injection checkpoint: one named place in the pipeline
+    /// where an installed [`FaultPlan`] may inject a typed error.
+    /// [`checkpoint`] takes only a `Site`, so every site that code
+    /// passes is declared here, in name order. The `crate.place` names
+    /// are how plan specs and `fault_injected` events spell a site.
+    ///
+    /// ```
+    /// assert_eq!(dvicl_govern::Site::CoreBuildNode.name(), "core.build_node");
+    /// ```
+    pub enum Site {
+        /// Each IR search-tree node (`canon::Search::dfs`).
+        CanonDfs => "canon.dfs",
+        /// Each child-subgraph carve (`core::SubArena::try_induced_child`,
+        /// where the `alloc` ceiling also lives).
+        CoreArenaCarve => "core.arena_carve",
+        /// Each AutoTree build recursion step.
+        CoreBuildNode => "core.build_node",
+        /// Each non-singleton leaf labeling (CombineCL).
+        CoreLeafIr => "core.leaf_ir",
+        /// SSM analysis and enumeration entry.
+        CoreSsm => "core.ssm",
+        /// Every `Budget::spend`, i.e. all governed loops.
+        GovernSpend => "govern.spend",
+        /// Each data line of the edge-list parser.
+        GraphEdgeLine => "graph.edge_line",
+        /// Each graph6 decode.
+        GraphGraph6 => "graph.graph6",
+        /// Each fingerprint-index ingestion.
+        IndexInsert => "index.insert",
+        /// Each DVIX1 record read.
+        IndexLoad => "index.load",
+        /// Each budgeted refinement after an individualization.
+        RefineIndividualize => "refine.individualize",
+        /// Each budgeted refinement of an input coloring.
+        RefineRefine => "refine.refine",
+    }
 }
 
 impl std::fmt::Display for Site {
@@ -443,7 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn site_names_are_crate_place_and_unique() {
+    fn site_and_phase_names_are_crate_place_and_unique() {
         // The first segment names a workspace crate: a directory beside
         // this crate under `crates/`.
         let crates_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/..");
@@ -457,18 +436,30 @@ mod tests {
                     .bytes()
                     .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
         };
-        for site in Site::ALL {
-            let name = site.name();
-            let segments: Vec<&str> = name.split('.').collect();
-            assert!(segments.len() >= 2, "{name}: expected crate.place");
-            assert!(segments.iter().all(|s| segment_ok(s)), "{name}: segments must be [a-z0-9_]+");
-            assert!(crates.iter().any(|c| c == segments[0]), "{name}: no crate `{}`", segments[0]);
+        let sites: Vec<&str> = Site::ALL.iter().map(|s| s.name()).collect();
+        let phases: Vec<&str> = dvicl_obs::Phase::ALL.iter().map(|p| p.name()).collect();
+        for names in [&sites, &phases] {
+            for name in names {
+                let segments: Vec<&str> = name.split('.').collect();
+                assert!(segments.len() >= 2, "{name}: expected crate.place");
+                assert!(
+                    segments.iter().all(|s| segment_ok(s)),
+                    "{name}: segments must be [a-z0-9_]+"
+                );
+                assert!(
+                    crates.iter().any(|c| c == segments[0]),
+                    "{name}: no crate `{}`",
+                    segments[0]
+                );
+            }
+            let mut unique = names.clone();
+            unique.sort_unstable();
+            unique.dedup();
+            assert_eq!(unique.len(), names.len(), "duplicate names in {names:?}");
         }
-        let names: Vec<&str> = Site::ALL.iter().map(|s| s.name()).collect();
-        let mut sorted = names.clone();
+        let mut sorted = sites.clone();
         sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(names, sorted, "site names must be unique and declared in name order");
+        assert_eq!(sites, sorted, "sites must be declared in name order");
     }
 
     #[test]

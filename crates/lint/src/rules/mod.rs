@@ -12,7 +12,6 @@ pub mod budget_reachability;
 pub mod error_taxonomy;
 pub mod narrowing_cast;
 pub mod nested_vec_adjacency;
-pub mod obs_span_naming;
 pub mod offline_guard;
 pub mod panic_freedom;
 pub mod unsafe_audit;
@@ -183,13 +182,6 @@ pub fn catalog() -> &'static [RuleMeta] {
             summary: "no std::net / std::process outside the cli and bench crates",
             applies: |c| !matches!(c, "cli" | "bench"),
             check: offline_guard::check,
-        },
-        RuleMeta {
-            id: obs_span_naming::ID,
-            severity: Severity::Deny,
-            summary: "span labels must be crate.phase dot-paths with a known crate prefix",
-            applies: applies_everywhere,
-            check: obs_span_naming::check,
         },
     ]
 }

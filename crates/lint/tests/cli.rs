@@ -113,7 +113,6 @@ fn list_rules_covers_the_catalog() {
             "narrowing-cast",
             "nested-vec-adjacency",
             "offline-guard",
-            "obs-span-naming",
             "budget-reachability",
             "pragma-missing-reason",
             "pragma-unknown-rule",

@@ -18,7 +18,7 @@ fn lint_fixture(group: &str, name: &str, rel: &str) -> (Vec<&'static str>, usize
 }
 
 /// (fixture dir, rule id, rel path to lint under, findings expected in trip.rs)
-const CASES: [(&str, &str, &str, usize); 7] = [
+const CASES: [(&str, &str, &str, usize); 6] = [
     ("panic_freedom", "panic-freedom", "crates/core/src/fixture.rs", 6),
     (
         "budget_reachability",
@@ -35,12 +35,6 @@ const CASES: [(&str, &str, &str, usize); 7] = [
         3,
     ),
     ("offline_guard", "offline-guard", "crates/core/src/fixture.rs", 2),
-    (
-        "obs_span_naming",
-        "obs-span-naming",
-        "crates/core/src/fixture.rs",
-        5,
-    ),
 ];
 
 #[test]

@@ -3,111 +3,88 @@
 //! Counters are deliberately a closed enum rather than a string-keyed
 //! registry: every bump is an index into a static array of relaxed
 //! atomics (no hashing, no locking, no allocation). The enum, its
-//! reporting order and its names come from one `counters!` table below;
-//! DESIGN.md §9 documents what each counter measures.
+//! reporting order and its names come from one [`crate::catalog!`]
+//! table below; DESIGN.md §9 documents what each counter measures.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Declares [`Counter`], [`NUM_COUNTERS`], [`Counter::ALL`] and
-/// [`Counter::name`] from one table of `Variant => "snake_case"` rows,
-/// so the catalog cannot drift apart from its reporting order or names.
-macro_rules! counters {
-    ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
-        /// One process-wide work counter. The catalog (name, unit, where
-        /// it is incremented) is documented in DESIGN.md §9; the variant
-        /// order is the reporting order.
-        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-        #[repr(usize)]
-        pub enum Counter {
-            $($(#[$doc])* $variant,)*
-        }
-
-        /// How many counters exist (the length of [`Counter::ALL`]).
-        pub const NUM_COUNTERS: usize = [$(Counter::$variant),*].len();
-
-        impl Counter {
-            /// Every counter, in reporting order.
-            pub const ALL: [Counter; NUM_COUNTERS] = [$(Counter::$variant),*];
-
-            /// The counter's stable snake_case name, as it appears in
-            /// `--stats` reports and `BENCH_*.json` records.
-            ///
-            /// ```
-            /// assert_eq!(dvicl_obs::Counter::SearchNodes.name(), "search_nodes");
-            /// ```
-            pub fn name(self) -> &'static str {
-                match self {
-                    $(Counter::$variant => $name,)*
-                }
-            }
-        }
-    };
+crate::catalog! {
+    /// One process-wide work counter. The catalog (name, unit, where it
+    /// is incremented) is documented in DESIGN.md §9; the declaration
+    /// order is the reporting order, and the snake_case names are the
+    /// keys of `--stats` reports and `BENCH_*.json` records.
+    ///
+    /// ```
+    /// assert_eq!(dvicl_obs::Counter::SearchNodes.name(), "search_nodes");
+    /// ```
+    pub enum Counter {
+        /// Refinement splitters processed (`refine::Partition::run`).
+        RefineRounds => "refine_rounds",
+        /// IR search-tree nodes visited (`canon::Search::dfs`).
+        SearchNodes => "search_nodes",
+        /// IR search-tree leaves reached (`canon::Search::visit_leaf`).
+        SearchLeaves => "search_leaves",
+        /// Subtrees pruned by the node invariant, `P_A`/`P_B` (`canon`).
+        PrunedInvariant => "pruned_invariant",
+        /// Branches skipped by discovered automorphisms, `P_C` (`canon`).
+        PrunedOrbit => "pruned_orbit",
+        /// Non-trivial automorphism generators recorded (`canon`).
+        AutFound => "aut_found",
+        /// Component divisions applied (`core::SubArena::divide_components`).
+        DivideComponents => "divide_components",
+        /// `DivideI` divisions applied (`core::SubArena::divide_i`).
+        DivideIApplied => "divide_i_applied",
+        /// `DivideS` divisions applied (`core::SubArena::divide_s`).
+        DivideSApplied => "divide_s_applied",
+        /// Edges deleted by applied `DivideS` divisions (`core::SubArena`).
+        DivideSEdgesDeleted => "divide_s_edges_deleted",
+        /// Structural-equivalence twin classes collapsed
+        /// (`core::simplify::dvicl_simplified`).
+        TwinClassesCollapsed => "twin_classes_collapsed",
+        /// `CombineCL` leaf-labeling results served from the builder's
+        /// cache (`core::build`).
+        CacheClHits => "cache_cl_hits",
+        /// `CombineCL` leaf labelings computed fresh (`core::build`).
+        CacheClMisses => "cache_cl_misses",
+        /// High-water mark of subgraph-arena pool bytes, summed over builds
+        /// (`core::SubArena`): each DviCL run adds its own peak, so a
+        /// snapshot diff around one build reads as that build's peak.
+        SubBytesPeak => "sub_bytes_peak",
+        /// Subgraph-arena segment releases that handed buffer space back for
+        /// reuse by a later child (`core::SubArena`).
+        ArenaReuses => "arena_reuses",
+        /// SSM matcher states expanded (`core::ssm`).
+        SsmStates => "ssm_states",
+        /// Budget exhaustion / cancellation trips (`govern::Budget`).
+        BudgetTrips => "budget_trips",
+        /// Witness checks performed by the paranoid verifier (`core::verify`).
+        VerifyChecks => "verify_checks",
+        /// Witness checks that failed — always zero on a healthy build
+        /// (`core::verify`).
+        VerifyFailures => "verify_failures",
+        /// Faults injected by an installed `govern::FaultPlan`.
+        FaultInjections => "fault_injections",
+        /// Fingerprint-index probes: every `insert`/`lookup`/`groupsize`
+        /// that consulted the fingerprint map (`dvicl-index`).
+        IndexProbes => "index_probes",
+        /// Index probes whose fingerprint bucket held an exact
+        /// stored-form match (`dvicl-index`).
+        IndexHits => "index_hits",
+        /// Index probes that compared against a stored form with the same
+        /// fingerprint and found it *unequal* — the 2⁻¹²⁸ hash-collision
+        /// path, resolved by the exact check (`dvicl-index`).
+        IndexCollisions => "index_collisions",
+        /// Builds served by a `core::Session` that reused its arena pools
+        /// and CombineCL memo from an earlier build (`core::Session`).
+        SessionArenaReuses => "session_arena_reuses",
+        /// Cell splits realized by the degree-bucket radix (counting) sort
+        /// instead of a comparison sort (`refine::Partition`).
+        RadixSplits => "radix_splits",
+    }
 }
 
-counters! {
-    /// Refinement splitters processed (`refine::Partition::run`).
-    RefineRounds => "refine_rounds",
-    /// IR search-tree nodes visited (`canon::Search::dfs`).
-    SearchNodes => "search_nodes",
-    /// IR search-tree leaves reached (`canon::Search::visit_leaf`).
-    SearchLeaves => "search_leaves",
-    /// Subtrees pruned by the node invariant, `P_A`/`P_B` (`canon`).
-    PrunedInvariant => "pruned_invariant",
-    /// Branches skipped by discovered automorphisms, `P_C` (`canon`).
-    PrunedOrbit => "pruned_orbit",
-    /// Non-trivial automorphism generators recorded (`canon`).
-    AutFound => "aut_found",
-    /// Component divisions applied (`core::SubArena::divide_components`).
-    DivideComponents => "divide_components",
-    /// `DivideI` divisions applied (`core::SubArena::divide_i`).
-    DivideIApplied => "divide_i_applied",
-    /// `DivideS` divisions applied (`core::SubArena::divide_s`).
-    DivideSApplied => "divide_s_applied",
-    /// Edges deleted by applied `DivideS` divisions (`core::SubArena`).
-    DivideSEdgesDeleted => "divide_s_edges_deleted",
-    /// Structural-equivalence twin classes collapsed
-    /// (`core::simplify::dvicl_simplified`).
-    TwinClassesCollapsed => "twin_classes_collapsed",
-    /// `CombineCL` leaf-labeling results served from the builder's
-    /// cache (`core::build`).
-    CacheClHits => "cache_cl_hits",
-    /// `CombineCL` leaf labelings computed fresh (`core::build`).
-    CacheClMisses => "cache_cl_misses",
-    /// High-water mark of subgraph-arena pool bytes, summed over builds
-    /// (`core::SubArena`): each DviCL run adds its own peak, so a
-    /// snapshot diff around one build reads as that build's peak.
-    SubBytesPeak => "sub_bytes_peak",
-    /// Subgraph-arena segment releases that handed buffer space back for
-    /// reuse by a later child (`core::SubArena`).
-    ArenaReuses => "arena_reuses",
-    /// SSM matcher states expanded (`core::ssm`).
-    SsmStates => "ssm_states",
-    /// Budget exhaustion / cancellation trips (`govern::Budget`).
-    BudgetTrips => "budget_trips",
-    /// Witness checks performed by the paranoid verifier (`core::verify`).
-    VerifyChecks => "verify_checks",
-    /// Witness checks that failed — always zero on a healthy build
-    /// (`core::verify`).
-    VerifyFailures => "verify_failures",
-    /// Faults injected by an installed `govern::FaultPlan`.
-    FaultInjections => "fault_injections",
-    /// Fingerprint-index probes: every `insert`/`lookup`/`groupsize`
-    /// that consulted the fingerprint map (`dvicl-index`).
-    IndexProbes => "index_probes",
-    /// Index probes whose fingerprint bucket held an exact
-    /// stored-form match (`dvicl-index`).
-    IndexHits => "index_hits",
-    /// Index probes that compared against a stored form with the same
-    /// fingerprint and found it *unequal* — the 2⁻¹²⁸ hash-collision
-    /// path, resolved by the exact check (`dvicl-index`).
-    IndexCollisions => "index_collisions",
-    /// Builds served by a `core::Session` that reused its arena pools
-    /// and CombineCL memo from an earlier build (`core::Session`).
-    SessionArenaReuses => "session_arena_reuses",
-    /// Cell splits realized by the degree-bucket radix (counting) sort
-    /// instead of a comparison sort (`refine::Partition`).
-    RadixSplits => "radix_splits",
-}
+/// How many counters exist (the length of [`Counter::ALL`]).
+pub const NUM_COUNTERS: usize = Counter::ALL.len();
 
 static COUNTERS: [AtomicU64; NUM_COUNTERS] = [const { AtomicU64::new(0) }; NUM_COUNTERS];
 

@@ -29,9 +29,9 @@ pub enum Value {
 /// One timed phase in a [`Summary`], converted to milliseconds.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhaseRow {
-    /// The span label (`crate.phase`).
+    /// The phase name (`crate.place`, see [`crate::Phase`]).
     pub label: &'static str,
-    /// Completed spans under this label.
+    /// Completed spans of this phase.
     pub calls: u64,
     /// Inclusive wall time in milliseconds.
     pub total_ms: f64,
@@ -45,7 +45,7 @@ pub struct PhaseRow {
 pub struct Summary {
     /// Final counter values.
     pub counters: Snapshot,
-    /// Per-phase timing rows, in first-seen order (empty unless timing
+    /// Per-phase timing rows, in declaration order (empty unless timing
     /// was enabled via [`crate::set_timing`]).
     pub phases: Vec<PhaseRow>,
 }
@@ -289,14 +289,14 @@ mod tests {
     fn render_text_lists_nonzero_counters_and_phases() {
         let mut summary = Summary::default();
         summary.phases.push(PhaseRow {
-            label: "obs.render_demo",
+            label: "core.build",
             calls: 2,
             total_ms: 1.25,
             self_ms: 1.0,
         });
         let text = render_text(&summary);
         assert!(text.contains("(all counters zero)"));
-        assert!(text.contains("obs.render_demo"));
+        assert!(text.contains("core.build"));
     }
 
     #[test]

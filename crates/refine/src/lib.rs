@@ -71,7 +71,7 @@ impl Refiner {
 
     /// Reusable-buffer [`refine`].
     pub fn refine(&mut self, g: &Graph, pi: &Coloring) -> RefineResult {
-        let _span = dvicl_obs::span("refine.refine");
+        let _span = dvicl_obs::span(dvicl_obs::Phase::RefineRefine);
         self.p.reset_from_coloring(g.n(), pi);
         let trace = self.p.refine(g);
         self.result(trace)
@@ -79,7 +79,7 @@ impl Refiner {
 
     /// Reusable-buffer [`refine_individualized`].
     pub fn refine_individualized(&mut self, g: &Graph, pi: &Coloring, v: V) -> RefineResult {
-        let _span = dvicl_obs::span("refine.individualize");
+        let _span = dvicl_obs::span(dvicl_obs::Phase::RefineIndividualize);
         self.p.reset_from_coloring(g.n(), pi);
         let trace = self.p.individualize_and_refine(g, v);
         self.result(trace)
@@ -92,7 +92,7 @@ impl Refiner {
         pi: &Coloring,
         budget: &Budget,
     ) -> Result<RefineResult, DviclError> {
-        let _span = dvicl_obs::span("refine.refine");
+        let _span = dvicl_obs::span(dvicl_obs::Phase::RefineRefine);
         dvicl_govern::fault::checkpoint(Site::RefineRefine)?;
         self.p.reset_from_coloring(g.n(), pi);
         let trace = self.p.try_refine(g, budget)?;
@@ -107,7 +107,7 @@ impl Refiner {
         v: V,
         budget: &Budget,
     ) -> Result<RefineResult, DviclError> {
-        let _span = dvicl_obs::span("refine.individualize");
+        let _span = dvicl_obs::span(dvicl_obs::Phase::RefineIndividualize);
         dvicl_govern::fault::checkpoint(Site::RefineIndividualize)?;
         self.p.reset_from_coloring(g.n(), pi);
         let trace = self.p.try_individualize_and_refine(g, v, budget)?;
