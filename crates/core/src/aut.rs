@@ -12,41 +12,43 @@
 //! `∏_classes |Aut(child)|^k · k!` used by [`group_order`].
 
 use crate::tree::{AutoTree, NodeId, NodeKind};
-use dvicl_graph::{Perm, V};
+use dvicl_graph::{Perm, SparsePerm, V};
 use dvicl_group::{BigUint, Orbits, StabChain};
 
-/// A generating set of `Aut(G, π)` as dense permutations of the full
-/// vertex set: leaf generators plus adjacent sibling swaps.
-pub fn generators(tree: &AutoTree) -> Vec<Perm> {
+/// A generating set of `Aut(G, π)`: leaf generators plus adjacent sibling
+/// swaps, each stored by its support only (a sibling swap moves the two
+/// siblings' vertices, a leaf generator at most its leaf's).
+pub fn generators(tree: &AutoTree) -> Vec<SparsePerm> {
     let n = tree.pi.n();
     let mut out = Vec::new();
     for node in tree.nodes() {
-        // (a) automorphisms of non-singleton leaves, extended by identity.
+        // (a) automorphisms of non-singleton leaves.
         for sparse in node.leaf_generators() {
-            let mut image: Vec<V> = (0..n as V).collect();
-            for &(v, w) in sparse {
-                image[v as usize] = w;
-            }
-            // dvicl-lint: allow(panic-freedom) -- sparse entries come from a stored automorphism, so the patched identity stays a bijection
-            out.push(Perm::from_image(image).expect("leaf generator is a bijection"));
+            let gen = SparsePerm::from_pairs(n, sparse.iter().copied());
+            // dvicl-lint: allow(panic-freedom) -- sparse entries come from a stored automorphism, so they are a bijection on their support
+            out.push(gen.expect("leaf generator is a bijection"));
         }
         // (b) swaps of adjacent symmetric siblings.
         for &(start, end) in node.sibling_classes() {
             for k in start as usize..(end as usize).saturating_sub(1) {
-                let a = node.children()[k];
-                let b = node.children()[k + 1];
-                let matched = tree.sibling_isomorphism(a, b);
-                let mut image: Vec<V> = (0..n as V).collect();
-                for (va, vb) in matched {
-                    image[va as usize] = vb;
-                    image[vb as usize] = va;
-                }
-                // dvicl-lint: allow(panic-freedom) -- sibling_isomorphism returns a perfect matching, so the pairwise swap is a bijection
-                out.push(Perm::from_image(image).expect("sibling swap is an involution"));
+                let (a, b) = (node.children()[k], node.children()[k + 1]);
+                // dvicl-lint: allow(panic-freedom) -- sibling_isomorphism returns a perfect matching between disjoint siblings, so the pairwise swap is a bijection
+                out.push(sibling_swap(tree, a, b).expect("sibling swap is an involution"));
             }
         }
     }
     out
+}
+
+/// The involution swapping symmetric siblings `a` and `b` by label
+/// matching, identity elsewhere; `None` if the matching is not a
+/// bijection.
+fn sibling_swap(tree: &AutoTree, a: NodeId, b: NodeId) -> Option<SparsePerm> {
+    let matched = tree.sibling_isomorphism(a, b);
+    let pairs = matched
+        .into_iter()
+        .flat_map(|(va, vb)| [(va, vb), (vb, va)]);
+    SparsePerm::from_pairs(tree.pi.n(), pairs)
 }
 
 /// The vertex orbits of `Aut(G, π)`, computed by union-find closure over
@@ -115,12 +117,11 @@ fn leaf_order(tree: &AutoTree, id: NodeId) -> BigUint {
     let gens: Vec<Perm> = node
         .leaf_generators()
         .map(|sparse| {
-            let mut image: Vec<V> = (0..nl as V).collect();
-            for &(v, w) in sparse {
-                image[local_of(v) as usize] = local_of(w);
-            }
-            // dvicl-lint: allow(panic-freedom) -- relabeling a stored automorphism through the bijective local_of keeps it a bijection
-            Perm::from_image(image).expect("local leaf generator is a bijection")
+            let local = sparse.iter().map(|&(v, w)| (local_of(v), local_of(w)));
+            SparsePerm::from_pairs(nl, local)
+                // dvicl-lint: allow(panic-freedom) -- relabeling a stored automorphism through the bijective local_of keeps it a bijection
+                .expect("local leaf generator is a bijection")
+                .to_dense()
         })
         .collect();
     StabChain::new(nl, &gens).order()
@@ -172,7 +173,7 @@ mod tests {
             named::hypercube(3),
         ] {
             let t = tree_of(&g);
-            let gens = generators(&t);
+            let gens: Vec<Perm> = generators(&t).iter().map(SparsePerm::to_dense).collect();
             // Every generator is a genuine automorphism...
             for gen in &gens {
                 assert_eq!(g.permuted(gen), g);
@@ -181,6 +182,18 @@ mod tests {
             let chain = StabChain::new(g.n(), &gens);
             assert_eq!(chain.order(), group_order(&t));
         }
+    }
+
+    #[test]
+    fn generators_store_only_their_support() {
+        // K_{1,2000}: the leaves are 2000 symmetric singleton siblings, so
+        // the set is the 1999 adjacent transpositions, two points each.
+        let t = tree_of(&named::star(2000));
+        let gens = generators(&t);
+        assert_eq!(gens.len(), 1999);
+        assert!(gens.iter().all(|p| p.len() == 2001));
+        let moved: usize = gens.iter().map(|p| p.support().len()).sum();
+        assert_eq!(moved, 2 * 1999);
     }
 
     #[test]
@@ -289,13 +302,7 @@ pub fn automorphism_witness(tree: &AutoTree, u: V, v: V) -> Option<Perm> {
         return None;
     }
     // Swap a↔b by label matching, identity elsewhere.
-    let mut image: Vec<V> = (0..n as V).collect();
-    for (x, y) in tree.sibling_isomorphism(a, b) {
-        image[x as usize] = y;
-        image[y as usize] = x;
-    }
-    // dvicl-lint: allow(panic-freedom) -- sibling_isomorphism returns a perfect matching, so the pairwise swap is a bijection
-    let swap = Perm::from_image(image).expect("sibling swap is a bijection");
+    let swap = sibling_swap(tree, a, b)?.to_dense();
     let u_in_b = swap.apply(u);
     // Continue inside b.
     let rest = automorphism_witness(tree, u_in_b, v)?;
@@ -307,17 +314,10 @@ pub fn automorphism_witness(tree: &AutoTree, u: V, v: V) -> Option<Perm> {
 fn leaf_witness(tree: &AutoTree, leaf: NodeId, u: V, v: V) -> Option<Perm> {
     let n = tree.pi.n();
     let node = tree.node(leaf);
-    let gens: Vec<Perm> = node
+    let gens = node
         .leaf_generators()
-        .map(|sparse| {
-            let mut image: Vec<V> = (0..n as V).collect();
-            for &(a, b) in sparse {
-                image[a as usize] = b;
-            }
-            // dvicl-lint: allow(panic-freedom) -- sparse entries come from a stored automorphism, so the patched identity stays a bijection
-            Perm::from_image(image).expect("leaf generator is a bijection")
-        })
-        .collect();
+        .map(|sparse| SparsePerm::from_pairs(n, sparse.iter().copied()).map(|p| p.to_dense()))
+        .collect::<Option<Vec<Perm>>>()?;
     let mut frontier = vec![(u, Perm::identity(n))];
     let mut seen = rustc_hash::FxHashSet::default();
     seen.insert(u);

@@ -7,7 +7,8 @@
 //!   sparse row) form, the representation used by the refinement and
 //!   canonical-labeling engines.
 //! * [`Perm`] — dense vertex permutations with cycle-notation parsing and
-//!   printing, composition, and inversion (the paper's `γ`).
+//!   printing, composition, and inversion (the paper's `γ`), and
+//!   [`SparsePerm`], the same permutation stored by its support only.
 //! * [`Coloring`] — ordered partitions of the vertex set (the paper's `π`),
 //!   with the finer-than relation, equitability checking, and projection.
 //! * [`CanonForm`] — the totally ordered certificate `(G, π)^γ` represented
@@ -36,7 +37,7 @@ pub use coloring::Coloring;
 pub use fingerprint::Fingerprint;
 pub use form::{CanonForm, FormRef};
 pub use graph::{Graph, GraphBuilder};
-pub use perm::Perm;
+pub use perm::{Perm, SparsePerm};
 
 /// Vertex identifier. Graphs in this workspace address vertices as dense
 /// `u32` indices in `0..n`.

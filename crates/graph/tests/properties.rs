@@ -2,7 +2,7 @@
 //! permutations, coloring invariants, builder normalization, and the
 //! graph6 roundtrip.
 
-use dvicl_graph::{graph6, Coloring, Graph, Perm, V};
+use dvicl_graph::{graph6, Coloring, Graph, Perm, SparsePerm, V};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -60,6 +60,31 @@ proptest! {
         )
         .unwrap();
         prop_assert_eq!(rebuilt, p);
+    }
+
+    #[test]
+    fn sparse_perm_agrees_with_dense(n in 0usize..40, seed in any::<u64>(), moved in 0usize..40) {
+        // A random permutation of a random prefix of `0..n`: a dense
+        // permutation with few or many fixed points.
+        let mut image: Vec<V> = (0..n as V).collect();
+        let mut state = seed | 1;
+        for i in (1..moved.min(n)).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            image.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let dense = Perm::from_image(image).unwrap();
+        let pairs: Vec<(V, V)> = (0..n as V).rev().map(|v| (v, dense.apply(v))).collect();
+        let sparse = SparsePerm::from_pairs(n, pairs).unwrap();
+        prop_assert_eq!(sparse.len(), n);
+        prop_assert_eq!(sparse.support().to_vec(), dense.support());
+        prop_assert_eq!(sparse.to_string(), dense.to_string());
+        for v in 0..n as V {
+            prop_assert_eq!(sparse.apply(v), dense.apply(v));
+        }
+        // Round trips through the dense form and through the support.
+        prop_assert_eq!(&sparse.to_dense(), &dense);
+        let support_pairs = dense.support().into_iter().map(|v| (v, dense.apply(v)));
+        prop_assert_eq!(SparsePerm::from_pairs(n, support_pairs).unwrap(), sparse);
     }
 
     #[test]
