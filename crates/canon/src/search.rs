@@ -581,6 +581,9 @@ impl<'a> Search<'a> {
                         self.best_leaf = Some((cert, lambda));
                         self.best_seq = fixed.to_vec();
                     }
+                    // When the best leaf is the first leaf, this leaf was
+                    // compared against it above: the same automorphism.
+                    Ordering::Equal if on_first && self.best_seq == self.first_seq => {}
                     Ordering::Equal => {
                         let auto = lambda.then(&best_lambda.inverse());
                         found_auto |= self.add_automorphism(auto);
